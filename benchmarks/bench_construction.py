@@ -15,11 +15,17 @@ from repro.core.downup import build_down_up_routing, down_up_turn_model
 from repro.routing.lturn import build_l_turn_routing
 from repro.routing.table import build_routing_function
 from repro.routing.updown import build_up_down_routing
+from repro.routing.verification import verify_routing
 from repro.topology.generator import random_irregular_topology
 
 
 def test_topology_generation_128(benchmark):
     topo = benchmark(random_irregular_topology, 128, 8, 7)
+    assert topo.is_connected()
+
+
+def test_topology_generation_128_4port(benchmark):
+    topo = benchmark(random_irregular_topology, 128, 4, 7)
     assert topo.is_connected()
 
 
@@ -47,14 +53,25 @@ def test_cycle_detection_128(benchmark, topo128):
     assert isinstance(releases, list)
 
 
-def test_routing_tables_128(benchmark, topo128):
-    tree = build_coordinated_tree(topo128)
-    cg = CommunicationGraph.from_tree(tree)
-    tm = down_up_turn_model(cg)
+@pytest.mark.parametrize("ports", [4, 8])
+def test_routing_tables_128(benchmark, topo128, topo128_8p, ports):
+    topo = topo128 if ports == 4 else topo128_8p
+    tm = down_up_turn_model(CommunicationGraph.from_tree(build_coordinated_tree(topo)))
     routing = benchmark.pedantic(
-        lambda: build_routing_function(tm, "down-up"), rounds=2, iterations=1
+        lambda: build_routing_function(tm, "down-up"), rounds=5, iterations=1
     )
-    assert routing.dist.shape == (128, topo128.num_channels)
+    assert routing.dist.shape == (128, topo.num_channels)
+
+
+@pytest.mark.parametrize("ports", [4, 8])
+def test_verify_routing_128(benchmark, topo128, topo128_8p, ports):
+    """Theorem-1 checks alone: acyclicity, connectivity, progress."""
+    topo = topo128 if ports == 4 else topo128_8p
+    tm = down_up_turn_model(CommunicationGraph.from_tree(build_coordinated_tree(topo)))
+    routing = build_routing_function(tm, "down-up")
+    assert benchmark.pedantic(
+        lambda: verify_routing(routing), rounds=5, iterations=1
+    ) is routing
 
 
 @pytest.mark.parametrize(

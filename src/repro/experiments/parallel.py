@@ -5,9 +5,16 @@ algorithm, method, rate) simulation is independent — and the archival
 presets take tens of minutes serially in Python.  This module fans the
 work units out over processes with :mod:`concurrent.futures`, keeping
 results bit-identical to the serial harness: every unit re-derives its
-topology/tree/routing from the preset seed inside the worker (cheap
-next to the simulation), so nothing non-picklable crosses process
-boundaries and the scheduling order cannot affect any RNG stream.
+topology/tree/routing from the preset seed inside the worker, so
+nothing non-picklable crosses process boundaries and the scheduling
+order cannot affect any RNG stream.  The re-derivation is a real
+per-unit cost at paper scale: one 128-switch, 4-port topology + tables
++ Theorem-1 verification takes about 28 ms, down from about 190 ms
+before the array-native construction kernels (median,
+``benchmarks/bench_construction.py``, 2-vCPU Xeon VM) — when it cost
+more than the unit's own simulation on the ``paperlite-batch``
+benchmark workload (``docs/architecture.md``).  The artifact cache
+(:mod:`repro.experiments.artifacts`) removes it for repeated builds.
 
 Execution is fault-tolerant infrastructure, not a bare ``pool.map``:
 

@@ -131,10 +131,7 @@ def reverse_adjacency(adj: Sequence[Sequence[int]]) -> List[List[int]]:
 
 
 def shortest_path_dags(
-    turn_model: TurnModel,
-    dest: int,
-    adj: Optional[Sequence[Sequence[int]]] = None,
-    radj: Optional[Sequence[Sequence[int]]] = None,
+    turn_model: TurnModel, dest: int
 ) -> Tuple[List[int], List[Tuple[int, ...]], List[Tuple[int, ...]]]:
     """Turn-restricted shortest-path data toward *dest*.
 
@@ -151,19 +148,16 @@ def shortest_path_dags(
     the set of channels sinking at *dest* (all hops cost 1 clockless hop,
     so plain BFS yields exact distances).
 
-    The dependency graph does not depend on *dest*; callers building
-    tables for every destination pass a precomputed *adj* (and
-    optionally its *radj* reversal) so classification runs once per
-    turn model instead of once per destination.
+    This is the single-destination reference: the routing tables come
+    from :func:`repro.routing.table.build_routing_function`, which runs
+    the same BFS for all destinations at once and is tested against
+    this function.
     """
     topo = turn_model.topology
     n_ch = topo.num_channels
     UNREACH = 2**31 - 1
-
-    if adj is None:
-        adj = dependency_adjacency(turn_model)
-    if radj is None:
-        radj = reverse_adjacency(adj)
+    adj = dependency_adjacency(turn_model)
+    radj = reverse_adjacency(adj)
 
     dist = [UNREACH] * n_ch
     frontier = [c for c in range(n_ch) if topo.channel(c).sink == dest]

@@ -28,7 +28,10 @@ verdict, see :func:`repro.statics.certificates.certify_routing`.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.routing.base import RoutingFunction, TurnModel
 from repro.routing.channel_graph import find_turn_cycle
@@ -153,39 +156,55 @@ def assert_progress(routing: RoutingFunction) -> None:
     distance > 0, the candidate set must be non-empty and each candidate
     must strictly decrease the distance — together with acyclicity this
     rules out livelock for the adaptive simulator.  The exception's
-    ``stranded`` dict identifies the offending state.
+    ``stranded`` dict identifies the offending state: the first one in
+    (destination, channel, candidate) order.
+
+    The candidate lists of all (destination, channel) states are
+    checked at once, as one flat array.
     """
+    unreach = RoutingFunction.UNREACHABLE
     dist = routing.dist
-    for d in range(routing.topology.n):
-        nh = routing.next_hops[d]
-        row = dist[d]
-        for c, opts in enumerate(nh):
-            rem = int(row[c])
-            if rem in (0, RoutingFunction.UNREACHABLE):
-                continue
-            if not opts:
-                raise VerificationError(
-                    f"{routing.name}: dest {d}, channel {c} at distance "
-                    f"{rem} has no admissible next hop",
-                    routing_name=routing.name,
-                    kind="stranded",
-                    stranded={"dest": d, "channel": c, "remaining": rem},
-                )
-            for b in opts:
-                if int(row[b]) != rem - 1:
-                    raise VerificationError(
-                        f"{routing.name}: dest {d}, hop {c}->{b} does not "
-                        f"decrease distance ({rem} -> {int(row[b])})",
-                        routing_name=routing.name,
-                        kind="no-progress",
-                        stranded={
-                            "dest": d,
-                            "channel": c,
-                            "remaining": rem,
-                            "candidate": int(b),
-                            "candidate_remaining": int(row[b]),
-                        },
-                    )
+    states = list(chain.from_iterable(routing.next_hops))
+    row_sizes = np.fromiter(map(len, routing.next_hops), np.int64)
+    dest = np.repeat(np.arange(row_sizes.size), row_sizes)
+    chan = np.arange(dest.size) - np.repeat(np.cumsum(row_sizes) - row_sizes, row_sizes)
+    sizes = np.fromiter(map(len, states), np.int64, count=len(states))
+    cands = np.fromiter(chain.from_iterable(states), np.int64, count=int(sizes.sum()))
+    rem = dist[dest, chan]
+    active = (rem != 0) & (rem != unreach)
+    owner = np.repeat(np.arange(len(states)), sizes)
+    checked = active[owner]
+    owner, cands = owner[checked], cands[checked]
+    bad = np.flatnonzero(dist[dest[owner], cands] != rem[owner] - 1)
+    stranded = np.flatnonzero(active & (sizes == 0))
+    first_stranded = int(stranded[0]) if stranded.size else len(states)
+    if bad.size and int(owner[bad[0]]) < first_stranded:
+        e, b = int(owner[bad[0]]), int(cands[bad[0]])
+        d, c, left = int(dest[e]), int(chan[e]), int(rem[e])
+        after = int(dist[d, b])
+        raise VerificationError(
+            f"{routing.name}: dest {d}, hop {c}->{b} does not "
+            f"decrease distance ({left} -> {after})",
+            routing_name=routing.name,
+            kind="no-progress",
+            stranded={
+                "dest": d,
+                "channel": c,
+                "remaining": left,
+                "candidate": b,
+                "candidate_remaining": after,
+            },
+        )
+    if stranded.size:
+        e = first_stranded
+        d, c, left = int(dest[e]), int(chan[e]), int(rem[e])
+        raise VerificationError(
+            f"{routing.name}: dest {d}, channel {c} at distance "
+            f"{left} has no admissible next hop",
+            routing_name=routing.name,
+            kind="stranded",
+            stranded={"dest": d, "channel": c, "remaining": left},
+        )
 
 
 def verify_routing(routing: RoutingFunction) -> RoutingFunction:

@@ -395,8 +395,7 @@ class BatchCore(VectorizedCore):
     # ------------------------------------------------------------------
     # one clock
     # ------------------------------------------------------------------
-    def move(self) -> bool:
-        sim = self.sim
+    def move(self, sim) -> bool:
         self._prepare_clock()
         stats = sim.stats
         clock = sim.clock

@@ -166,9 +166,9 @@ class WormholeSimulator:
             self._vec = BatchCore(self)
             self._move_impl = self._vec.move
         elif self.engine_name == "fast":
-            self._move_impl = self._move_fast
+            self._move_impl = type(self)._move_fast
         else:
-            self._move_impl = self._move_bodies_and_heads
+            self._move_impl = type(self)._move_bodies_and_heads
 
     # ------------------------------------------------------------------
     # routing tables (epoch-atomic swap point)
@@ -260,7 +260,7 @@ class WormholeSimulator:
         """Advance the simulation by one clock."""
         if self.faults is not None:
             self.faults.on_clock(self)
-        progressed = self._move_impl()
+        progressed = self._move_impl(self)
         if progressed:
             self._last_progress = self.clock
         interval = self._deadlock_interval

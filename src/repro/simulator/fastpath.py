@@ -36,6 +36,7 @@ the seed implementations, which is what the differential golden suite
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import deque
 from typing import Callable, List, Optional, Tuple
 
@@ -271,7 +272,14 @@ class ObservedSet(set):
 
     def __init__(self, on_change: Callable[[], None], iterable=()) -> None:
         super().__init__(iterable)
-        self._on_change = on_change
+        # *on_change* is a method of the engine that owns this set; a
+        # strong reference would tie the two in a reference cycle
+        self._on_change_ref = weakref.WeakMethod(on_change)
+
+    def _on_change(self) -> None:
+        on_change = self._on_change_ref()
+        if on_change is not None:
+            on_change()
 
     def add(self, item) -> None:
         if item not in self:

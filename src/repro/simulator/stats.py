@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,6 +97,9 @@ class StatsCollector:
         #: phase and clocks it ran, summed over measured clocks
         self.vec_moved_flits = 0
         self.vec_clocks = 0
+        #: engines that defer counter batches (the array cores) set this
+        #: to their flush; it runs before every read of the counters
+        self.flush: Optional[Callable[[], None]] = None
 
     # hooks called by the engine ---------------------------------------
     def on_channel_entry(self, cid: int) -> None:
@@ -174,6 +177,8 @@ class StatsCollector:
         incremented); cheap no-op when ``timeline_interval`` is 0.
         """
         if self.timeline_due():
+            if self.flush is not None:
+                self.flush()
             self._timeline.append(
                 (self.window_clocks, int(sum(self.consumed_flits)))
             )
@@ -190,6 +195,8 @@ class StatsCollector:
         mutating (and change its ``canonical_digest``) as later clocks
         flush their deferred counter batches into the same storage.
         """
+        if self.flush is not None:
+            self.flush()
         if self.window_clocks <= 0:
             raise ValueError("no measurement window was recorded")
         return SimulationStats(

@@ -156,7 +156,9 @@ class VirtualChannelSimulator:
             "fast" if engine in ("vectorized", "batch") else engine
         )
         self._move_impl = (
-            self._move if self.engine_name == "reference" else self._move_fast
+            type(self)._move
+            if self.engine_name == "reference"
+            else type(self)._move_fast
         )
 
     # ------------------------------------------------------------------
@@ -311,7 +313,7 @@ class VirtualChannelSimulator:
         """Advance one clock."""
         if self.faults is not None:
             self.faults.on_clock(self)
-        self._move_impl()
+        self._move_impl(self)
         interval = self._deadlock_interval
         if interval and self.clock % interval == interval - 1:
             dead = self.find_deadlocked_worms()

@@ -44,6 +44,7 @@ across engines.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -72,7 +73,11 @@ class VectorizedCore:
     """Per-simulator vectorized step state; ``move`` is the step impl."""
 
     def __init__(self, sim) -> None:
-        self.sim = sim
+        #: the owning simulator, held weakly: the simulator holds the
+        #: core (and the hooks that call into it), so a strong
+        #: back-reference would leave every finished run in a reference
+        #: cycle that only the cyclic garbage collector frees
+        self._sim = weakref.ref(sim)
         self.state = ArrayState(
             sim.topology.num_channels, sim.topology.n, sim.config.buffer_flits
         )
@@ -98,36 +103,25 @@ class VectorizedCore:
         st.consumed_flits = np.zeros(len(st.consumed_flits), dtype=np.int64)
         st.injected_flits = np.zeros(len(st.injected_flits), dtype=np.int64)
         # any reader of the counters must see the deferred batches first
-        orig_finalize = st.finalize
-        orig_tick = st.on_tick
-
-        def finalize_flushed(*args, **kwargs):
-            self._flush_stats()
-            return orig_finalize(*args, **kwargs)
-
-        def tick_flushed():
-            # flush exactly when the tick is about to read the counters
-            # — the predicate is shared with on_tick itself, so the
-            # flush boundary cannot drift from the read boundary even
-            # when it lands on a 512-batch or fault-sync clock
-            if st.timeline_due():
-                self._flush_stats()
-            orig_tick()
-
-        st.finalize = finalize_flushed
-        st.on_tick = tick_flushed
+        st.flush = self._flush_stats
 
     # ------------------------------------------------------------------
     # epoch contract plumbing
     # ------------------------------------------------------------------
     def _install_hooks(self, sim) -> None:
-        """Shadow the engine's object-reading hooks with sync wrappers."""
+        """Shadow the engine's object-reading hooks with sync wrappers.
+
+        The wrappers close over the core and the class-level functions,
+        never a method bound to *sim*, so installing them on *sim*
+        creates no reference cycle.
+        """
         core = self
+        cls = type(sim)
 
         def wrap_mutating(orig):
             def hook(*args, **kwargs):
                 core.sync()
-                out = orig(*args, **kwargs)
+                out = orig(core.sim, *args, **kwargs)
                 core._dirty = True
                 return out
 
@@ -136,14 +130,19 @@ class VectorizedCore:
         def wrap_readonly(orig):
             def hook(*args, **kwargs):
                 core.sync()
-                return orig(*args, **kwargs)
+                return orig(core.sim, *args, **kwargs)
 
             return hook
 
         for name in _SYNC_MUTATING_HOOKS:
-            setattr(sim, name, wrap_mutating(getattr(sim, name)))
+            setattr(sim, name, wrap_mutating(getattr(cls, name)))
         for name in _SYNC_READONLY_HOOKS:
-            setattr(sim, name, wrap_readonly(getattr(sim, name)))
+            setattr(sim, name, wrap_readonly(getattr(cls, name)))
+
+    @property
+    def sim(self):
+        """The owning simulator."""
+        return self._sim()
 
     def sync(self) -> None:
         """Write array flit counts back onto the Worm objects."""
@@ -183,8 +182,7 @@ class VectorizedCore:
     # ------------------------------------------------------------------
     # one clock
     # ------------------------------------------------------------------
-    def move(self) -> bool:
-        sim = self.sim
+    def move(self, sim) -> bool:
         st = self.state
         if self._dirty:
             st.rebuild(sim)

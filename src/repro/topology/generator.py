@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.topology.graph import Topology
 from repro.util.rng import RngLike, as_generator
 
@@ -138,24 +140,30 @@ def _add_random_links(
 ) -> None:
     """Add random extra links to *links* in place, respecting bounds.
 
-    Repeatedly samples a pair of non-saturated switches; stops when the
-    target is met or when the set of legal pairs is exhausted.
+    Repeatedly draws one legal pair — two distinct non-adjacent switches
+    that both have a free port — uniformly from the legal pairs listed
+    in row-major ``(a < b)`` order; stops when the target is met or no
+    legal pair remains.  The legal pairs are the upper triangle of an
+    ``open x open`` mask, updated in place as links are added.
     """
-    degree = [0] * n
+    degree = np.zeros(n, np.int64)
+    legal = np.triu(np.ones((n, n), bool), 1)
     for u, v in links:
         degree[u] += 1
         degree[v] += 1
+        legal[u, v] = False
+    full = degree >= ports
+    legal[full, :] = False
+    legal[:, full] = False
     while len(links) < num_links:
-        open_switches = [v for v in range(n) if degree[v] < ports]
-        legal = [
-            (a, b)
-            for i, a in enumerate(open_switches)
-            for b in open_switches[i + 1 :]
-            if (a, b) not in links
-        ]
-        if not legal:
+        pairs = np.flatnonzero(legal)
+        if not pairs.size:
             return
-        a, b = legal[int(gen.integers(len(legal)))]
+        a, b = divmod(int(pairs[int(gen.integers(pairs.size))]), n)
         links.add((a, b))
-        degree[a] += 1
-        degree[b] += 1
+        legal[a, b] = False
+        for v in (a, b):
+            degree[v] += 1
+            if degree[v] == ports:
+                legal[v, :] = False
+                legal[:, v] = False

@@ -22,19 +22,29 @@ and adds an engine shootout: for random scenarios, all three step
 engines must produce the identical per-worm delivery record — not just
 equal aggregates, but the same packets taking the same channels at the
 same clocks.
+
+The last section checks the all-destination table kernel
+(:func:`repro.routing.table.build_routing_function`) against the
+single-destination reference BFS
+(:func:`repro.routing.channel_graph.shortest_path_dags`), stacked, on
+random topologies and random turn models.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.downup import build_down_up_routing
-from repro.routing.channel_graph import find_cycle
+from repro.routing.base import RoutingFunction, TurnModel
+from repro.routing.channel_graph import find_cycle, shortest_path_dags
 from repro.routing.lturn import build_l_turn_routing
+from repro.routing.table import build_routing_function
 from repro.routing.updown import build_up_down_routing
 from repro.simulator import SimulationConfig, WormholeSimulator
 from repro.simulator.trace import TraceRecorder
 from repro.simulator.traffic import HotspotTraffic, UniformTraffic
+from repro.topology import zoo
 from repro.topology.generator import random_irregular_topology
 
 BUILDERS = {
@@ -211,3 +221,127 @@ class TestTracedPathsAreRoutes:
                 assert cout in routing.next_hops[trace.dst][cin]
             checked += 1
         assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# table kernel vs the single-destination reference
+# ---------------------------------------------------------------------------
+
+
+def _stacked_reference(tm):
+    """``shortest_path_dags`` for every destination, stacked."""
+    topo = tm.topology
+    dist = np.empty((topo.n, topo.num_channels), np.int32)
+    next_hops, first_hops = [], []
+    for d in range(topo.n):
+        dd, nh, fh = shortest_path_dags(tm, d)
+        dist[d, :] = dd
+        next_hops.append(tuple(nh))
+        first_hops.append(tuple(fh))
+    return dist, tuple(next_hops), tuple(first_hops)
+
+
+def _assert_matches_reference(tm):
+    routing = build_routing_function(tm, "kernel")
+    dist, next_hops, first_hops = _stacked_reference(tm)
+    assert routing.dist.dtype == np.int32
+    assert not routing.dist.flags.writeable
+    assert routing.dist.shape == dist.shape
+    assert np.array_equal(routing.dist, dist)
+    assert routing.next_hops == next_hops
+    assert routing.first_hops == first_hops
+    return routing
+
+
+def _random_topology(draw):
+    shape = draw(st.sampled_from(["irregular", "tiny", "star", "complete"]))
+    seed = draw(st.integers(0, 10_000))
+    if shape == "star":
+        return zoo.star(draw(st.integers(2, 14)))
+    if shape == "complete":
+        return zoo.complete(draw(st.integers(2, 7)))
+    if shape == "tiny":
+        return random_irregular_topology(draw(st.integers(1, 2)), 2, rng=seed)
+    n = draw(st.integers(3, 24))
+    return random_irregular_topology(n, draw(st.integers(2, 6)), rng=seed)
+
+
+def _random_turn_model(draw, topo):
+    """Random classes, base matrix, per-switch overrides and Phase-3
+    style channel-pair releases: cycles and unreachable channels
+    included."""
+    k = draw(st.integers(1, 4))
+    classes = [draw(st.integers(0, k - 1)) for _ in range(topo.num_channels)]
+    base = np.array(
+        [[draw(st.booleans()) for _ in range(k)] for _ in range(k)], dtype=bool
+    )
+    tm = TurnModel(topo, classes, base)
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.integers(0, topo.n - 1))
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        tm.set_turn(v, i, j, draw(st.booleans()))
+    if topo.num_channels:
+        for _ in range(draw(st.integers(0, 4))):
+            a = draw(st.integers(0, topo.num_channels - 1))
+            outs = [
+                b for b in topo.output_channels(topo.channel(a).sink) if b != a ^ 1
+            ]
+            if outs:
+                tm.allow_channel_pair(a, draw(st.sampled_from(outs)))
+    return tm
+
+
+class TestTableKernelMatchesReference:
+    """``build_routing_function`` equals the stacked per-destination BFS."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_turn_models(self, data):
+        topo = _random_topology(data.draw)
+        _assert_matches_reference(_random_turn_model(data.draw, topo))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        algo=st.sampled_from(sorted(BUILDERS)),
+        n=st.integers(3, 32),
+        ports=st.integers(3, 8),
+        seed=st.integers(0, 10_000),
+    )
+    def test_paper_algorithms(self, algo, n, ports, seed):
+        """The verified builders, Phase-3 channel-pair releases included."""
+        topo = random_irregular_topology(n, ports, rng=seed)
+        _assert_matches_reference(BUILDERS[algo](topo, seed).turn_model)
+
+    def test_single_switch(self):
+        topo = random_irregular_topology(1, 4, rng=0)
+        routing = _assert_matches_reference(
+            TurnModel(topo, [], np.ones((1, 1), dtype=bool))
+        )
+        assert routing.dist.shape == (1, 0)
+        assert routing.next_hops == ((),) and routing.first_hops == (((),),)
+
+    def test_zero_out_degree_channels(self):
+        """Two switches: neither channel has a successor (U-turn only)."""
+        topo = zoo.line(2)
+        routing = _assert_matches_reference(
+            TurnModel(topo, [0, 0], np.ones((1, 1), dtype=bool))
+        )
+        assert routing.next_hops == (((), ()), ((), ()))
+
+    def test_unreachable_channels(self):
+        """All turns prohibited: only one-hop routes exist."""
+        topo = zoo.line(4)
+        tm = TurnModel(topo, [0] * topo.num_channels, np.zeros((1, 1), dtype=bool))
+        routing = _assert_matches_reference(tm)
+        assert (routing.dist == RoutingFunction.UNREACHABLE).any()
+
+    @pytest.mark.parametrize(
+        "topo", [zoo.star(60), zoo.complete(12)], ids=["star60", "complete12"]
+    )
+    def test_high_degree(self, topo):
+        """Wide successor lists: the star's hub has 59 outputs, more mask
+        columns than one int64 key chunk holds at this size."""
+        tm = TurnModel(topo, [0] * topo.num_channels, np.ones((1, 1), dtype=bool))
+        routing = _assert_matches_reference(tm)
+        hub_in = topo.channel_id(1, 0)
+        assert len(routing.next_hops[2][hub_in]) == 1

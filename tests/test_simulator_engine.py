@@ -349,3 +349,73 @@ class TestConfigValidation:
         assert cfg.with_rate(0.5).injection_rate == 0.5
         assert cfg.with_seed(9).seed == 9
         assert cfg.total_clocks == cfg.warmup_clocks + cfg.measure_clocks
+
+
+class TestFreedByReferenceCounting:
+    """A finished simulation holds no reference cycle.
+
+    Everything a run allocates (worms, queues, array cores, stats) must
+    go away as soon as the last outside reference does, without waiting
+    for the cyclic garbage collector — otherwise back-to-back runs pile
+    their garbage up until a gen-2 collection.
+    """
+
+    @pytest.fixture(scope="class")
+    def routing(self):
+        from repro.core.downup import build_down_up_routing
+        from repro.topology.generator import random_irregular_topology
+
+        return build_down_up_routing(random_irregular_topology(16, 4, rng=1), rng=1)
+
+    @staticmethod
+    def _cfg(engine):
+        return SimulationConfig(
+            packet_length=8,
+            injection_rate=0.1,
+            warmup_clocks=50,
+            measure_clocks=150,
+            seed=3,
+            engine=engine,
+        )
+
+    @pytest.fixture
+    def no_cycle_collector(self):
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("engine", ["reference", "fast", "vectorized", "batch"])
+    def test_single_run(self, routing, engine, no_cycle_collector):
+        import weakref
+
+        sim = WormholeSimulator(routing, self._cfg(engine))
+        stats = sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+        assert stats.clocks == 150
+
+    def test_replicated_run(self, routing, monkeypatch, no_cycle_collector):
+        import weakref
+
+        from repro.simulator import replica_batch
+
+        made = []
+        real = replica_batch.WormholeSimulator
+
+        def recording(*args, **kwargs):
+            sim = real(*args, **kwargs)
+            made.append(weakref.ref(sim))
+            return sim
+
+        monkeypatch.setattr(replica_batch, "WormholeSimulator", recording)
+        stats = replica_batch.run_replicated(
+            routing, self._cfg("batch"), seeds=[1, 2]
+        )
+        assert len(stats) == 2 and len(made) == 2
+        assert all(ref() is None for ref in made)

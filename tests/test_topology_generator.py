@@ -1,5 +1,8 @@
 """Unit + property tests for the random irregular topology generator."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,3 +111,54 @@ class TestStyles:
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError, match="unknown style"):
             random_irregular_topology(16, 4, rng=0, style="chunky")
+
+
+def _pin(n, ports, seed, **kwargs):
+    """SHA-256 of the sampled link list plus the shared stream's next draw.
+
+    The draw after the sample pins how many values the generator
+    consumed, so a rewrite that picks the same links with different
+    draws still fails.
+    """
+    gen = np.random.default_rng(seed)
+    t = random_irregular_topology(n, ports, rng=gen, **kwargs)
+    links = json.dumps([list(p) for p in t.links]).encode()
+    return hashlib.sha256(links).hexdigest(), int(gen.integers(2**62))
+
+
+class TestGoldenSamples:
+    """Samples fixed before the generator was vectorized; must never move."""
+
+    @pytest.mark.parametrize(
+        "n, ports, seed, kwargs, digest, next_draw",
+        [
+            (128, 4, 0, {},
+             "edb7394d6f8ced15de9e1794518ca24c06fadf7d871b616976acc053dddb1daf",
+             4269104972794155841),
+            (128, 8, 1, {},
+             "69fb7b64ebbcbecd213222920df42344b847e591fc839236cd93f2c39ad0539c",
+             4274134593522858375),
+            (128, 4, 2, {"style": "sparse"},
+             "059c354d7b48fdf05dfd473ad9131aacfdcc3d81e6ae203cf0502f5125c47bb3",
+             4110771014955348015),
+            (128, 8, 3, {"style": "dense"},
+             "755300225c44db5e219edd10b6f7e563ad2c5eb2dbef581cc3db63b570b68a82",
+             1025927090558032751),
+            # num_links at the maximum: seed 1 wedges three trees before
+            # the fourth succeeds, seed 0 at n=32 wedges one
+            (16, 4, 1, {"num_links": 32},
+             "f172e8755e324b41bf12aa39d36dc18b0ff3ca60254b0efff97e20e9d6ab2b86",
+             1754397286506168454),
+            (32, 4, 0, {"num_links": 64},
+             "657c62a91f43edb5927fca463019560762f138244a6ac9d60946e049ad972264",
+             2485396272480686463),
+        ],
+    )
+    def test_sample_is_pinned(self, n, ports, seed, kwargs, digest, next_draw):
+        assert _pin(n, ports, seed, **kwargs) == (digest, next_draw)
+
+    def test_give_up_path_consumes_the_same_draws(self):
+        gen = np.random.default_rng(1)
+        with pytest.raises(TopologyGenError, match="best: 31"):
+            random_irregular_topology(16, 4, rng=gen, num_links=32, max_attempts=2)
+        assert int(gen.integers(2**62)) == 682169984246800380

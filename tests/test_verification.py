@@ -187,3 +187,90 @@ class TestVerifyRouting:
         r = build_routing_function(tm, "broken")
         with pytest.raises(ValueError, match="no admissible path"):
             r.path_length(0, 2)
+
+
+def _first_violation_oracle(routing):
+    """The per-entry scan ``assert_progress`` must agree with: the
+    payload of the first violation in (dest, channel, candidate)
+    order, or ``None``."""
+    dist = routing.dist
+    for d in range(routing.topology.n):
+        row = dist[d]
+        for c, opts in enumerate(routing.next_hops[d]):
+            rem = int(row[c])
+            if rem in (0, RoutingFunction.UNREACHABLE):
+                continue
+            if not opts:
+                return {
+                    "message": f"{routing.name}: dest {d}, channel {c} at "
+                    f"distance {rem} has no admissible next hop",
+                    "routing": routing.name,
+                    "kind": "stranded",
+                    "stranded": {"dest": d, "channel": c, "remaining": rem},
+                }
+            for b in opts:
+                if int(row[b]) != rem - 1:
+                    return {
+                        "message": f"{routing.name}: dest {d}, hop {c}->{b} "
+                        f"does not decrease distance ({rem} -> {int(row[b])})",
+                        "routing": routing.name,
+                        "kind": "no-progress",
+                        "stranded": {
+                            "dest": d,
+                            "channel": c,
+                            "remaining": rem,
+                            "candidate": int(b),
+                            "candidate_remaining": int(row[b]),
+                        },
+                    }
+    return None
+
+
+class TestCorruptedTables:
+    """Random corruptions of real tables: ``assert_progress`` reports the
+    same first violation, with the same payload, as a plain scan."""
+
+    @pytest.fixture(scope="class")
+    def routing(self):
+        from repro.core.downup import build_down_up_routing
+        from repro.topology.generator import random_irregular_topology
+
+        return build_down_up_routing(random_irregular_topology(20, 4, rng=5), rng=5)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_violation_payload(self, routing, seed):
+        rng = np.random.default_rng(seed)
+        n, n_ch = routing.dist.shape
+        next_hops = [list(row) for row in routing.next_hops]
+        dist = routing.dist.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            d, c = int(rng.integers(n)), int(rng.integers(n_ch))
+            how = int(rng.integers(4))
+            if how == 0:  # strand the state
+                next_hops[d][c] = ()
+            elif how == 1:  # a candidate that is not one hop closer
+                next_hops[d][c] = tuple(next_hops[d][c]) + (int(rng.integers(n_ch)),)
+            elif how == 2:  # a detour: the candidate list is replaced
+                next_hops[d][c] = (int(rng.integers(n_ch)),)
+            else:  # a wrong distance
+                dist[d, c] = int(rng.integers(0, 12))
+        dist.setflags(write=False)
+        broken = RoutingFunction(
+            topology=routing.topology,
+            name="broken",
+            turn_model=routing.turn_model,
+            dist=dist,
+            next_hops=tuple(tuple(r) for r in next_hops),
+            first_hops=routing.first_hops,
+        )
+        expected = _first_violation_oracle(broken)
+        if expected is None:
+            assert_progress(broken)
+            return
+        with pytest.raises(VerificationError) as exc:
+            assert_progress(broken)
+        assert exc.value.payload() == expected
+
+    def test_intact_table_passes(self, routing):
+        assert _first_violation_oracle(routing) is None
+        assert_progress(routing)
