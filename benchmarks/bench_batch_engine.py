@@ -16,13 +16,13 @@ asserts the relaxed contract's two invariants inline:
 * **determinism**: repeated batch runs of one (config, seed) must
   produce the same ``statistical_fingerprint``;
 * **certification**: distributional equality against the bit-exact
-  oracles is the equivalence gate's job
+  ``fast`` oracle is the equivalence gate's job
   (``repro-experiments equivalence``), run separately in CI — a
   speedup over a *diverging* simulation would be meaningless, so CI
   runs the gate next to this benchmark.
 
 Speedups grow with packet length (fewer header decisions per flit
-moved, so the vectorized body phase dominates) and with topology size
+moved, so the batched body phase dominates) and with topology size
 (wider numpy batches per clock); both axes are in the matrix so the
 committed baseline documents the shape, not just one flattering point.
 The deadlock watchdog is disabled (``deadlock_interval=0``) to time

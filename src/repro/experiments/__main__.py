@@ -85,10 +85,10 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--engine", default=None, choices=sorted(ENGINES),
             help="simulator step engine for every run (default: the "
-            "fast path, or $REPRO_ENGINE); reference/fast/vectorized "
-            "are bit-identical — choosing among them only trades speed "
-            "— while 'batch' is certified statistically (see the "
-            "equivalence subcommand) and changes result identities",
+            "fast path); reference and fast are bit-identical — "
+            "choosing between them only trades speed — while 'batch' "
+            "is certified statistically (see the equivalence "
+            "subcommand) and changes result identities",
         )
         sp.add_argument(
             "--replicas", type=int, default=None, metavar="R",
@@ -214,7 +214,7 @@ def _parser() -> argparse.ArgumentParser:
     wk.add_argument(
         "--engine", default=None, choices=sorted(ENGINES),
         help="simulator step engine; workers of one campaign may mix "
-        "the bit-identical engines (reference/fast/vectorized) freely, "
+        "the bit-identical engines (reference/fast) freely, "
         "but 'batch' results carry engine-variant unit digests and "
         "never merge with bit-exact shards",
     )
@@ -320,7 +320,7 @@ def _parser() -> argparse.ArgumentParser:
     eq = sub.add_parser(
         "equivalence",
         help="statistical A/B certification of a relaxed engine "
-        "('batch') against the bit-exact oracles: paired per-seed "
+        "('batch') against a bit-exact oracle: paired per-seed "
         "runs, Bonferroni-corrected paired-t CIs + latency KS gate",
     )
     eq.add_argument(
@@ -328,10 +328,9 @@ def _parser() -> argparse.ArgumentParser:
         help="engine under certification (default: batch)",
     )
     eq.add_argument(
-        "--oracles", nargs="+", default=["fast", "vectorized"],
+        "--oracles", nargs="+", default=["fast"],
         choices=sorted(BIT_EXACT_ENGINES),
-        help="bit-exact engines to certify against (default: both "
-        "fast and vectorized)",
+        help="bit-exact engines to certify against (default: fast)",
     )
     eq.add_argument(
         "--seeds", type=int, default=10,

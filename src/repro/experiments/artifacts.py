@@ -24,9 +24,9 @@ Two layers:
   the artifact changes the key, so a stale preset or code bump can
   never alias a cached entry.  Entries carry a header line with a
   SHA-256 checksum of the payload bytes; publication is
-  write-to-temp-then-``os.replace`` (atomic on POSIX) guarded by a
-  non-blocking ``fcntl.flock`` single-writer lock — the same discipline
-  as :class:`~repro.experiments.ledger.ResultLedger`.  A torn or
+  write-to-temp-then-``os.replace`` (atomic on POSIX) guarded by an
+  ``fcntl.flock`` single-writer lock, as in
+  :class:`~repro.experiments.ledger.ResultLedger`.  A torn or
   corrupted entry (e.g. left by a SIGKILLed worker) fails its checksum,
   is counted and treated as a miss, and is overwritten by the next
   successful publication; it can never poison results.
@@ -177,7 +177,7 @@ class CacheCounters:
     shared_hits: int = 0  # imported from the multi-host shared tier
     misses: int = 0  # built from scratch
     corrupt: int = 0  # entries dropped for a failed checksum/decode
-    publish_skipped: int = 0  # lock was busy; built but not published
+    publish_skipped: int = 0  # identical entry already published
     bytes_written: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -196,7 +196,7 @@ class ArtifactCache:
 
     One instance per process per store directory.  All reads verify the
     per-entry payload checksum; all writes publish atomically under a
-    non-blocking single-writer lock.  ``max_memory_entries`` bounds the
+    single-writer lock.  ``max_memory_entries`` bounds the
     in-process decoded-object LRU (0 disables it).
 
     *shared_root* adds an optional multi-host **read-through tier** (a
@@ -283,8 +283,8 @@ class ArtifactCache:
             self.counters.corrupt += 1
         if payload is None or raw is None:
             return None
-        # re-publish the verified bytes locally; a busy lock just skips
-        # (the payload itself is already safe to serve either way)
+        # re-publish the verified bytes locally (the payload itself is
+        # already safe to serve either way)
         self._publish_to(self.root, digest, raw)
         return payload
 
@@ -292,26 +292,32 @@ class ArtifactCache:
         """Atomically publish one entry file into *root*.
 
         Write-to-temp + ``os.replace``: readers only ever see a complete
-        entry under the final name.  The per-store flock keeps
-        concurrent pools from duplicating serialization work; a busy
-        lock just skips the publish (the artifact was built anyway, and
-        whoever holds the lock is publishing its own copy of identical
-        content).
+        entry under the final name.  Writers take turns on the per-store
+        flock (held only for one small write), and a writer that finds
+        the identical entry already published skips it.  Skipping on a
+        *busy* lock instead would lose entries: the holder may be
+        publishing a different digest.  A torn or corrupt file under the
+        final name differs from *data*, so it is overwritten.
         """
+        final = root / f"{digest}.json"
         lock_fh = open(root / "writer.lock", "a")
         try:
             if fcntl is not None:
-                try:
-                    fcntl.flock(lock_fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-                except OSError:
-                    self.counters.publish_skipped += 1
-                    return False
+                fcntl.flock(lock_fh.fileno(), fcntl.LOCK_EX)
+            try:
+                with open(final, "r", encoding="utf-8") as fh:
+                    present = fh.read() == data
+            except (FileNotFoundError, OSError, UnicodeDecodeError):
+                present = False
+            if present:
+                self.counters.publish_skipped += 1
+                return False
             tmp = root / f"tmp-{digest}-{os.getpid()}"
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, root / f"{digest}.json")
+            os.replace(tmp, final)
             self.counters.bytes_written += len(data)
             return True
         finally:
@@ -321,7 +327,8 @@ class ArtifactCache:
         self, digest: str, kind: str, key: Dict[str, object], payload: str
     ) -> bool:
         """Publish one entry locally and, when configured, to the
-        shared tier (each atomically, each skipping on a busy lock)."""
+        shared tier (each atomically, each skipping an identical entry
+        that is already there)."""
         header = json.dumps(
             {
                 "format": ARTIFACT_FORMAT,

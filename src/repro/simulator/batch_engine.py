@@ -1,13 +1,12 @@
 """The fully batched step implementation (relaxed statistical contract).
 
-Selected with ``SimulationConfig(engine="batch")``.  The vectorized
-engine (:mod:`repro.simulator.vec_engine`) already batches the body
-phase but replays the reference's arbitration RNG stream draw for draw
-— it must rebuild the Python request list on dirty clocks, permute it
-with the *shared* engine RNG and walk the claims sequentially whenever
-the outcome could differ.  That replay is what caps its speedup near
-1x: the per-clock Python request scan and the per-clock traffic
-Bernoulli draw cost as much as the scalar engines' whole step.
+Selected with ``SimulationConfig(engine="batch")``.  The bit-exact
+engines (``reference``, ``fast``) replay one arbitration RNG stream
+draw for draw: every clock they rebuild a Python request list, permute
+it with the *shared* engine RNG and walk the claims sequentially.  That
+replay is the per-clock cost a faster engine has to shed — the Python
+request scan and the per-clock traffic Bernoulli draw cost as much as
+the whole body phase.
 
 The batch engine drops bit-level replay and keeps only the *process*:
 
@@ -54,35 +53,40 @@ The batch engine drops bit-level replay and keeps only the *process*:
   the resource, not flit by flit as the body streams.  Cumulative
   totals agree with the bit-exact engines up to window-boundary and
   in-flight-tail effects (and fault-truncated worms, which the exact
-  engines charge partially); the per-clock deferred-batch machinery of
-  the vectorized engine disappears entirely.
+  engines charge partially).
 
 **Contract.**  Results are deterministic per seed (same config, same
 call sequence, same platform numpy), but they are *not* byte-identical
 to the bit-exact engines: arbitration and traffic consume different
 RNG streams.  Equivalence is certified *distributionally* by
 :mod:`repro.simulator.equivalence` (paired CI + Kolmogorov-Smirnov
-gate against the bit-exact oracles), and batch results carry a
+gate against the bit-exact ``fast`` oracle), and batch results carry a
 ``statistical_fingerprint`` rather than a ``canonical_digest`` —
 ledgers must never mix the two (see
 :func:`repro.experiments.ledger.unit_digest`).
 
-Fault hooks, deadlock/stall watchdogs, invariant checks and worm-state
-sync points are inherited from
-:class:`~repro.simulator.vec_engine.VectorizedCore`: worm objects are
-synced at the same points, so the epoch contract (sync, mutate,
-rebuild) is identical.
+**Epoch contract.**  Flit counts live in
+:class:`~repro.simulator.vec_state.ArrayState`; between external
+mutations the arrays are authoritative and the worm objects are stale.
+Every engine hook that reads or rewrites worm state is wrapped: the
+core first writes array counts back onto the objects
+(:meth:`ArrayState.sync_worms`), lets the hook run on coherent
+objects, then marks the arrays dirty so the next clock begins with an
+atomic :meth:`ArrayState.rebuild` plus a refresh of this core's own
+head-tracking arrays — the same invalidate-then-rebuild shape as the
+decision cache's epochs, and what keeps mid-run table swaps and
+dead-channel masking consistent with the worm objects.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.simulator.engine import Worm
-from repro.simulator.vec_engine import VectorizedCore
-from repro.simulator.vec_state import FREE
+from repro.simulator.vec_state import FREE, ArrayState
 from repro.util.rng import as_generator, derive_seed
 
 __all__ = ["BatchCore"]
@@ -112,13 +116,39 @@ _GAP_BLOCK = 64
 #: numpy dispatch overhead dominates below this, vector wins above
 _SMALL_ARB = 24
 
+#: engine hooks that read (and may rewrite) per-worm flit state — each
+#: gets a sync-objects-first / mark-dirty-after wrapper
+_SYNC_MUTATING_HOOKS = (
+    "_fault_kill_link",
+    "_fault_kill_switch",
+    "_fault_eject_stranded",
+)
+#: diagnostics that read per-worm flit state but mutate nothing
+_SYNC_READONLY_HOOKS = ("_stall_report", "_deadlock_report")
 
-class BatchCore(VectorizedCore):
+
+class BatchCore:
     """Per-simulator batched step state; ``move`` is the step impl."""
 
     def __init__(self, sim) -> None:
-        super().__init__(sim)
-        st = self.state
+        #: the owning simulator, held weakly: the simulator holds the
+        #: core (and the hooks that call into it), so a strong
+        #: back-reference would leave every finished run in a reference
+        #: cycle that only the cyclic garbage collector frees
+        self._sim = weakref.ref(sim)
+        self.state = st = ArrayState(
+            sim.topology.num_channels, sim.topology.n, sim.config.buffer_flits
+        )
+        #: set by the fault-hook wrappers; triggers an atomic rebuild at
+        #: the start of the next move
+        self._dirty = False
+        self._install_hooks(sim)
+        # the flit counters are int64 ndarrays on this engine (finalize
+        # copies them, so a snapshot never aliases the live storage)
+        stats = sim.stats
+        stats.channel_flits = np.zeros(len(stats.channel_flits), dtype=np.int64)
+        stats.consumed_flits = np.zeros(len(stats.consumed_flits), dtype=np.int64)
+        stats.injected_flits = np.zeros(len(stats.injected_flits), dtype=np.int64)
         C, n = st.C, st.S
         self._C = C
         #: index of the extended-occupancy dead slot (see ``_occ_ext``)
@@ -211,6 +241,49 @@ class BatchCore(VectorizedCore):
         else:
             self._gen_horizon = 1 << 62
         sim._generate_packets = self._generate_batched
+
+    # ------------------------------------------------------------------
+    # epoch contract plumbing
+    # ------------------------------------------------------------------
+    def _install_hooks(self, sim) -> None:
+        """Shadow the engine's object-reading hooks with sync wrappers.
+
+        The wrappers close over the core and the class-level functions,
+        never a method bound to *sim*, so installing them on *sim*
+        creates no reference cycle.
+        """
+        core = self
+        cls = type(sim)
+
+        def wrap_mutating(orig):
+            def hook(*args, **kwargs):
+                core.sync()
+                out = orig(core.sim, *args, **kwargs)
+                core._dirty = True
+                return out
+
+            return hook
+
+        def wrap_readonly(orig):
+            def hook(*args, **kwargs):
+                core.sync()
+                return orig(core.sim, *args, **kwargs)
+
+            return hook
+
+        for name in _SYNC_MUTATING_HOOKS:
+            setattr(sim, name, wrap_mutating(getattr(cls, name)))
+        for name in _SYNC_READONLY_HOOKS:
+            setattr(sim, name, wrap_readonly(getattr(cls, name)))
+
+    @property
+    def sim(self):
+        """The owning simulator."""
+        return self._sim()
+
+    def sync(self) -> None:
+        """Write array flit counts back onto the Worm objects."""
+        self.state.sync_worms(self.sim)
 
     # ------------------------------------------------------------------
     # traffic precomputation

@@ -451,7 +451,7 @@ def _scenario_runs(
 
 def certify(
     candidate: str = "batch",
-    oracles: Sequence[str] = ("fast", "vectorized"),
+    oracles: Sequence[str] = ("fast",),
     scenarios: Sequence[EquivalenceScenario] = QUICK_MATRIX,
     seeds: Sequence[int] = tuple(range(10)),
     family_alpha: float = 0.05,

@@ -142,19 +142,12 @@ class VirtualChannelSimulator:
         #: of its dirty window (fast path); see the base engine
         self._req_cache: Optional[List[tuple]] = None
         self._req_dirty_until = -1
-        #: engine selection: the VC engine has no vectorized body phase
+        #: engine selection: the VC engine has no batched body phase
         #: (its body commits are RNG-ordered under shared per-link
-        #: budgets, inherently sequential), so ``"vectorized"`` and
-        #: ``"batch"`` select the fast path here — documented in the
-        #: config and docs
-        engine = (
-            config.resolved_engine
-            if hasattr(config, "resolved_engine")
-            else ("fast" if getattr(config, "fast_path", True) else "reference")
-        )
-        self.engine_name = (
-            "fast" if engine in ("vectorized", "batch") else engine
-        )
+        #: budgets, inherently sequential), so ``"batch"`` selects the
+        #: fast path here — documented in the config and docs
+        engine = config.resolved_engine
+        self.engine_name = "fast" if engine == "batch" else engine
         self._move_impl = (
             type(self)._move
             if self.engine_name == "reference"

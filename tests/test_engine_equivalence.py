@@ -2,22 +2,23 @@
 
 Three independent layers of cross-checking:
 
-* **Differential golden suite** (``TestEngineDifferential``): every
-  step implementation — the seed reference ``_move``, the active-set /
-  decision-cache fast path, and the struct-of-arrays vectorized core —
-  must replay the same simulation *byte for byte*: every RNG draw,
-  every grant, every committed flit.  Each scenario runs all three
-  engines under a fixed seed and compares
-  :meth:`SimulationStats.canonical_digest`, which hashes every
-  simulated-physics field of the result.  The reference engine is the
-  oracle; the other two are optimizations that must be invisible.
+* **Differential golden suite** (``TestEngineDifferential``): both
+  bit-exact step implementations — the seed reference ``_move`` and the
+  active-set / decision-cache fast path — must replay the same
+  simulation *byte for byte*: every RNG draw, every grant, every
+  committed flit.  Each scenario runs both engines under a fixed seed
+  and compares :meth:`SimulationStats.canonical_digest`, which hashes
+  every simulated-physics field of the result.  The reference engine
+  is the oracle; the fast path is an optimization that must be
+  invisible.  ``TestInjectionInterleaving`` compares per-worm event
+  logs on the event wheel's same-clock injection corner case.
 
 * **Cross-engine consistency**: base engine vs VC engine at
   ``num_vcs=1`` — two independently written step functions modelling
   the same machine must agree statistically.
 
-* **Vectorized white-box tests** live in ``test_vectorized_engine.py``
-  (epoch invalidation, injection interleaving, telemetry exclusion).
+* **Array-state white-box tests** of the batch engine live in
+  ``test_batch_engine.py`` (epoch invalidation, telemetry exclusion).
 """
 
 import dataclasses
@@ -41,6 +42,8 @@ from repro.simulator import (
     simulate,
     simulate_vc,
 )
+from repro.simulator.packet import Worm
+from repro.simulator.trace import TraceRecorder
 from repro.simulator.traffic import (
     BitComplementTraffic,
     HotspotTraffic,
@@ -161,7 +164,7 @@ class TestEngineDifferential:
         _assert_equal(_digests(lambda c: WormholeSimulator(routing, c), cfg))
 
     def test_base_128_switches(self):
-        """The scale point where the vectorized body phase amortizes."""
+        """The paper's 128-switch scale."""
         topo = random_irregular_topology(128, 4, rng=5)
         routing = build_down_up_routing(topo, rng=7)
         cfg = SimulationConfig(
@@ -176,8 +179,8 @@ class TestEngineDifferential:
     @pytest.mark.parametrize("policy", ["drop", "drain"])
     def test_base_with_fault_schedule(self, net, cfg, policy):
         """Mid-run reconfiguration: table swap + dead-channel masking
-        must invalidate and rebuild the vectorized array state
-        atomically — any stale entry diverges the digest."""
+        must invalidate the fast path's decision cache atomically —
+        any stale entry diverges the digest."""
         topo, routing = net
 
         def make(c):
@@ -204,9 +207,8 @@ class TestEngineDifferential:
         _assert_equal(_digests(make, cfg))
 
     def test_vc_replicate_uniform(self, net, cfg):
-        """The VC engine resolves ``vectorized`` to its own fast path
-        (per-VC link budgets serialize body commits), so all three
-        engine names must still agree bit-for-bit."""
+        """The VC engine's reference and fast paths agree
+        bit-for-bit."""
         _topo, routing = net
         _assert_equal(
             _digests(lambda c: VirtualChannelSimulator(routing, c, num_vcs=2), cfg)
@@ -259,21 +261,72 @@ class TestEngineDifferential:
         """The digest excludes scheduler telemetry, which only the fast
         path records — occupancy must be measured, and < 1."""
         _topo, routing = net
-        ref = WormholeSimulator(routing, cfg.with_fast_path(False)).run()
-        fast = WormholeSimulator(routing, cfg.with_fast_path(True)).run()
+        ref = WormholeSimulator(routing, cfg.with_engine("reference")).run()
+        fast = WormholeSimulator(routing, cfg.with_engine("fast")).run()
         assert ref.sched_clocks == 0
         assert fast.sched_clocks == cfg.measure_clocks
         assert 0.0 < fast.active_set_occupancy < 1.0
 
-    def test_vec_telemetry_only_on_vectorized_engine(self, net, cfg):
-        """Same for the vectorized core's moved-flit telemetry."""
+    def test_vec_telemetry_only_on_batch_engine(self, net, cfg):
+        """Same for the batch core's moved-flit telemetry."""
         _topo, routing = net
         fast = WormholeSimulator(routing, cfg.with_engine("fast")).run()
-        vec = WormholeSimulator(routing, cfg.with_engine("vectorized")).run()
+        vec = WormholeSimulator(routing, cfg.with_engine("batch")).run()
         assert fast.vec_clocks == 0
         assert vec.vec_clocks == cfg.measure_clocks
         assert vec.vec_moved_flits > 0
         assert vec.vec_flits_per_clock > 0.0
+
+
+class TestInjectionInterleaving:
+    """Same-clock multi-source injection with back-to-back queues.
+
+    The event wheel discovers injection requests in per-source order
+    and an emptied source port is freed during body *commit* (after
+    arbitration), so a queued back-to-back worm first requests at the
+    following clock; the fast path must reproduce both orderings.
+    """
+
+    @staticmethod
+    def _record(routing, cfg, engine, n):
+        sim = WormholeSimulator(routing, cfg.with_engine(engine))
+        pid = 0
+        # three back-to-back worms at each of four sources, all queued
+        # for clock 0: the wheel sees four same-clock injection
+        # requests, and each port is re-requested the moment it frees
+        for src in (0, 3, 7, 11):
+            for _ in range(3):
+                w = Worm(pid, src, (src + n // 2) % n, 6, 0)
+                sim.queues[src].append(w)
+                sim.worms[pid] = w  # what _generate_packets would do
+                sim._wheel.wake(src)
+                pid += 1
+        sim.tracer = TraceRecorder(max_packets=1_000)
+        stats = sim.run()
+        events = tuple(
+            (t.pid, t.src, t.dst, tuple(t.events)) for t in sim.tracer
+        )
+        return events, stats.canonical_digest()
+
+    def test_per_worm_events_identical_across_engines(self):
+        topo = random_irregular_topology(16, 4, rng=3)
+        routing = build_down_up_routing(topo, rng=7)
+        cfg = SimulationConfig(
+            packet_length=6,
+            injection_rate=0.0,
+            warmup_clocks=0,
+            measure_clocks=400,
+            seed=5,
+        )
+        ref = self._record(routing, cfg, "reference", topo.n)
+        assert any(
+            e[1] == "inject" for rec in ref[0] for e in rec[3]
+        ), "scenario never injected — not exercising the wheel at all"
+        got = self._record(routing, cfg, "fast", topo.n)
+        assert got == ref, (
+            "fast interleaved same-clock injections differently from "
+            "the reference event wheel"
+        )
 
 
 class TestUnloadedEquivalence:

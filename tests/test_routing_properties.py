@@ -17,11 +17,12 @@ precomputed tables:
   among taken routes would have to be a cycle of that graph.
 
 The hypothesis section below re-checks both properties over *random*
-(topology, algorithm, traffic) triples under the vectorized engine,
-and adds an engine shootout: for random scenarios, all three step
-engines must produce the identical per-worm delivery record — not just
-equal aggregates, but the same packets taking the same channels at the
-same clocks.
+(topology, algorithm, traffic) triples under the batch engine — the
+engine the experiments run, which records the same tracer events —
+and adds an engine shootout: for random scenarios, both bit-exact
+step engines must produce the identical per-worm delivery record — not
+just equal aggregates, but the same packets taking the same channels
+at the same clocks.
 
 The last section checks the all-destination table kernel
 (:func:`repro.routing.table.build_routing_function`) against the
@@ -125,7 +126,7 @@ class TestTakenRouteProperties:
 
 
 # ---------------------------------------------------------------------------
-# hypothesis campaigns: random triples, vectorized engine
+# hypothesis campaigns: random triples, batch engine
 # ---------------------------------------------------------------------------
 _PROPERTY_SETTINGS = settings(
     max_examples=8,
@@ -161,14 +162,14 @@ def _random_scenario(draw):
 
 
 class TestRandomTriplesVectorized:
-    """Route legality of random campaigns under ``engine: vectorized``."""
+    """Route legality of random campaigns under ``engine: batch``."""
 
     @_PROPERTY_SETTINGS
     @given(st.data())
     def test_turns_legal_and_taken_graph_acyclic(self, data):
         topo, routing, traffic, cfg = _random_scenario(data.draw)
         sim = WormholeSimulator(
-            routing, cfg.with_engine("vectorized"), traffic=traffic
+            routing, cfg.with_engine("batch"), traffic=traffic
         )
         sim.tracer = TraceRecorder(max_packets=50_000)
         sim.run()
@@ -178,8 +179,9 @@ class TestRandomTriplesVectorized:
 
 
 class TestEngineShootout:
-    """Random scenarios: all engines produce the identical per-worm
-    delivery record — same packets, same channels, same clocks."""
+    """Random scenarios: the bit-exact engines produce the identical
+    per-worm delivery record — same packets, same channels, same
+    clocks."""
 
     @staticmethod
     def _delivery_record(routing, cfg, traffic, engine):
@@ -198,9 +200,8 @@ class TestEngineShootout:
     def test_identical_per_worm_records(self, data):
         _topo, routing, traffic, cfg = _random_scenario(data.draw)
         ref = self._delivery_record(routing, cfg, traffic, "reference")
-        for engine in ("fast", "vectorized"):
-            got = self._delivery_record(routing, cfg, traffic, engine)
-            assert got == ref, f"{engine} diverged from the reference engine"
+        got = self._delivery_record(routing, cfg, traffic, "fast")
+        assert got == ref, "fast diverged from the reference engine"
 
 
 class TestTracedPathsAreRoutes:

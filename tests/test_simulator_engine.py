@@ -389,7 +389,7 @@ class TestFreedByReferenceCounting:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "vectorized", "batch"])
+    @pytest.mark.parametrize("engine", ["reference", "fast", "batch"])
     def test_single_run(self, routing, engine, no_cycle_collector):
         import weakref
 
