@@ -41,7 +41,12 @@ The batch engine drops bit-level replay and keeps only the *process*:
 * **Incremental body active set.**  The flit-streaming phase operates
   on the set of slots actually holding flits, maintained across clocks
   (grant commits append, drained slots compact lazily) instead of
-  full-width masks over every channel.
+  full-width masks over every channel.  The set, and the body phase
+  itself, belong to the clock driver
+  (:class:`~repro.simulator.replica_batch.ReplicaBatchCore`): this core
+  holds one row's arrays and its request, arbitration and commit
+  logic, and the driver steps R >= 1 such rows in one clock loop — a
+  plain ``engine="batch"`` simulator is its one-row case.
 * **Open-loop traffic, precomputed.**  The reference draws one
   Bernoulli vector per clock.  Per source, inter-arrival gaps of that
   process are i.i.d. Geometric(p), so the whole arrival schedule is
@@ -81,7 +86,7 @@ dead-channel masking consistent with the worm objects.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -128,7 +133,11 @@ _SYNC_READONLY_HOOKS = ("_stall_report", "_deadlock_report")
 
 
 class BatchCore:
-    """Per-simulator batched step state; ``move`` is the step impl."""
+    """One simulator's batched state: arrays, requests and commits.
+
+    The clock loop itself is :class:`~repro.simulator.replica_batch.ReplicaBatchCore`,
+    which steps this core as one of its rows.
+    """
 
     def __init__(self, sim) -> None:
         #: the owning simulator, held weakly: the simulator holds the
@@ -140,8 +149,14 @@ class BatchCore:
             sim.topology.num_channels, sim.topology.n, sim.config.buffer_flits
         )
         #: set by the fault-hook wrappers; triggers an atomic rebuild at
-        #: the start of the next move
+        #: the start of the next clock
         self._dirty = False
+        #: the clock driver stepping this row (weak: a one-row driver is
+        #: owned by the simulator, a stacked one by its caller), and the
+        #: driver's pending active-set list that grant commits append
+        #: global slot ids to
+        self._driver = None
+        self._gact_add: List[int] = []
         self._install_hooks(sim)
         # the flit counters are int64 ndarrays on this engine (finalize
         # copies them, so a snapshot never aliases the live storage)
@@ -203,12 +218,6 @@ class BatchCore:
         self._im_srcs: List[int] = []
         self._im_cands = np.empty(0, dtype=np.int64)
         self._im_off = np.empty(0, dtype=np.int64)
-        #: body-phase active set: flit slots that may hold flits, kept
-        #: incrementally (grant commits append, zero hits trigger a
-        #: compaction next clock) so the body never scans the full array
-        self._act = np.empty(0, dtype=np.int64)
-        self._act_add: List[int] = []
-        self._act_filter = False
         #: flattened free-candidate + due prefilter over the
         #: multi-candidate parked heads, mirroring the injection one
         self._mh_info: Dict[int, tuple] = {}
@@ -240,7 +249,6 @@ class BatchCore:
             self._extend_traffic(sim.config.total_clocks)
         else:
             self._gen_horizon = 1 << 62
-        sim._generate_packets = self._generate_batched
 
     # ------------------------------------------------------------------
     # epoch contract plumbing
@@ -320,18 +328,17 @@ class BatchCore:
         self._gen_ptr = 0
         self._gen_horizon = until
 
-    def _fire_arrival(self, s: int, clock: int, dead_switches) -> None:
+    def _fire_arrival(self, s: int, clock: int) -> None:
         """Fire one precomputed arrival at source *s*.
 
         Dead-switch and queue-cap checks happen here, at fire time
         (exactly where the reference applies them), so fault interaction
         is unchanged; destination and length are drawn from the
-        packet-shaping stream in deterministic fire order.  Shared by
-        the sequential generation loop and the replica driver — per
-        replica, both fire the same events in the same order, so the
-        packet-shaping stream is consumed identically.
+        packet-shaping stream in deterministic fire order.
         """
         sim = self.sim
+        faults = sim.faults
+        dead_switches = faults.dead_switches if faults is not None else ()
         if s in dead_switches:
             return  # a failed switch generates nothing
         cfg = sim.config
@@ -353,32 +360,6 @@ class BatchCore:
         stats.on_generate()
         if sim.tracer is not None:
             sim.tracer.record(clock, "gen", w.pid, w.src, w.dst)
-
-    def _generate_batched(self) -> None:
-        """Replacement for the engine's per-clock Bernoulli generation.
-
-        Fires the precomputed arrivals due this clock via
-        :meth:`_fire_arrival`.
-        """
-        sim = self.sim
-        clock = sim.clock
-        if clock > self._gen_horizon:
-            # stepping past the configured run length (manual driving):
-            # grow geometrically so repeated stepping stays amortized
-            self._extend_traffic(max(clock + 4096, self._gen_horizon * 2))
-        clks = self._gen_clks
-        ptr = self._gen_ptr
-        if ptr >= len(clks) or clks[ptr] > clock:
-            return
-        srcs = self._gen_srcs
-        fire = self._fire_arrival
-        dead_switches = (
-            sim.faults.dead_switches if sim.faults is not None else ()
-        )
-        while ptr < len(clks) and clks[ptr] <= clock:
-            fire(srcs[ptr], clock, dead_switches)
-            ptr += 1
-        self._gen_ptr = ptr
 
     # ------------------------------------------------------------------
     # candidate table / head-target maintenance
@@ -466,22 +447,8 @@ class BatchCore:
                 self._set_head_target(h, w.dst)
 
     # ------------------------------------------------------------------
-    # one clock
+    # one clock (the phases the clock loop in replica_batch calls)
     # ------------------------------------------------------------------
-    def move(self, sim) -> bool:
-        self._prepare_clock()
-        stats = sim.stats
-        clock = sim.clock
-        n_moves, drain_cand, freed_src = self._body_phase()
-        if stats.active:
-            stats.vec_moved_flits += int(n_moves)
-            stats.vec_clocks += 1
-        self._wheel_phase(clock)
-        granted = self._resolve_phase(clock, drain_cand, freed_src, None)
-        if sim._check_invariants:
-            self.sync()
-        return n_moves > 0 or granted
-
     def _prepare_clock(self) -> None:
         """Rebuild dirty state and refresh candidate rows if needed."""
         sim = self.sim
@@ -492,85 +459,21 @@ class BatchCore:
         if sim.decision_cache.epoch != self._cand_epoch:
             self._on_epoch_change()
 
-    def _body_phase(self) -> Tuple[int, List[int], List[int]]:
-        """Phase 1: batched body moves.
-
-        Returns ``(n_moves, drain_cand, freed_src)``.  The replica
-        driver replaces this with one fused sweep over the stacked
-        arrays and splits the zero hits back per replica.
-        """
-        st = self.state
-        f = st.flits
-        dn = st.dn
-        cap_dn = st.cap_dn
-        SRC0 = st.SRC0
-        # the active set (slots holding flits) is maintained across
-        # clocks: grant commits append new slots, zero hits schedule a
-        # compaction — the body only ever touches live slots
-        act = self._act
-        if self._act_add:
-            act = np.concatenate(
-                (act, np.asarray(self._act_add, dtype=np.int64))
-            )
-            self._act_add.clear()
-            self._act = act
-        if self._act_filter:
-            act = act[f[act] > 0]
-            self._act = act
-            self._act_filter = False
-        n_moves = 0
-        drain_cand: List[int] = []
-        freed_src: List[int] = []
-        if act.size:
-            # act is exactly live here: every zero hit flags a
-            # compaction for the next clock, commits only append slots
-            # they just made non-empty, and nothing else empties a slot
-            dnact = dn[act]
-            room = f[dnact] < cap_dn[act]
-            movers = act[room]
-            n_moves = int(movers.size)
-            if n_moves:
-                tgts = dnact[room]
-                f[movers] -= 1
-                f[tgts] += 1  # targets unique (vec_state docstring)
-                # zero detection reads f *after* the incoming adds: a
-                # channel that both sent and received this clock holds
-                # one flit and must not surface as a drain candidate
-                for k in movers[f[movers] == 0].tolist():
-                    if k >= SRC0:
-                        freed_src.append(k - SRC0)
-                    else:
-                        drain_cand.append(k)
-        return n_moves, drain_cand, freed_src
-
-    def _wheel_phase(self, clock: int) -> None:
-        """Phase 2: refresh woken injection sources.
-
-        Must run before request extraction — injection scans arm
-        same-clock requests in ``_ready_at``.
-        """
-        wheel = self.sim._wheel
-        timers = wheel._timers
-        if timers and timers[0][0] <= clock:
-            wheel.advance(clock)
-        if wheel.pending:
-            self._scan_injections(wheel.pending, clock)
-
     def _resolve_phase(  # noqa: C901 - hot loop, kept flat
         self,
         clock: int,
         drain_cand: List[int],
         freed_src: List[int],
-        reqs: Optional[Sequence[int]],
+        reqs: Sequence[int],
     ) -> bool:
         """Phases 3–4: arbitration, grant commits, drains, completions.
 
         *reqs* is the due-request slot set (an ascending array or plain
-        list); ``None`` means "extract it here" (the sequential path).
-        The replica driver extracts one global array and passes each
-        replica its slice, preserving the ascending slot order this
-        method's RNG consumption depends on.  Returns True when any
-        grant was issued this clock.
+        list): the clock driver extracts one array over all its rows
+        and passes each row its slice, preserving the ascending slot
+        order this method's RNG consumption depends on.  Grant commits
+        append the slots they fill to the driver's active set, in
+        global ids.  Returns True when any grant was issued this clock.
         """
         sim = self.sim
         st = self.state
@@ -580,7 +483,11 @@ class BatchCore:
         dn = st.dn
         cap_dn = st.cap_dn
         cap_p, cap_sink = st.cap, st.cap_sink
-        C, SRC0, SINK0, D = st.C, st.SRC0, st.SINK0, st.D
+        C, SRC0, SINK0 = st.C, st.SRC0, st.SINK0
+        # dn holds global slot ids: base + local id
+        base = st.base
+        D = base + st.D
+        act_add = self._gact_add
         occ = sim.channel_occ
         occ_vec = st.occ
         wheel = sim._wheel
@@ -597,8 +504,6 @@ class BatchCore:
         grants: List[tuple] = []
         consume_occ = sim.consume_occ
         subs = self._subs
-        if reqs is None:
-            reqs = (ready_at <= clock).nonzero()[0]
         n_req = len(reqs)
         pws: List[int] = []
         tws: List[int] = []
@@ -714,7 +619,7 @@ class BatchCore:
                 w.t_head_arrival = clock
                 head = w.chain[0]
                 f[head] -= 1
-                dn[head] = SINK0 + target
+                dn[head] = base + SINK0 + target
                 cap_dn[head] = cap_sink
                 ready_at[head] = _BIG
                 if f[head] == 0:
@@ -741,7 +646,7 @@ class BatchCore:
                 dn[target] = D
                 cap_dn[target] = 0
                 ready_at[target] = ready
-                self._act_add.append(target)
+                act_add.append(base + target)
                 self._set_head_target(target, w.dst)
                 if rec:
                     stats.injected_flits[w.src] += w.length
@@ -750,9 +655,9 @@ class BatchCore:
                     tracer.record(clock, "inject", w.pid, w.src, w.dst, target)
                 if fas:
                     f[SRC0 + w.src] = fas
-                    dn[SRC0 + w.src] = target
+                    dn[SRC0 + w.src] = base + target
                     cap_dn[SRC0 + w.src] = cap_p
-                    self._act_add.append(SRC0 + w.src)
+                    act_add.append(base + SRC0 + w.src)
                 else:
                     sim.injection_occ[w.src] = FREE
                     wheel.wake(w.src)
@@ -762,9 +667,9 @@ class BatchCore:
                 head = w.chain[0]
                 w.chain.insert(0, target)
                 f[target] = 1
-                self._act_add.append(target)
+                act_add.append(base + target)
                 f[head] -= 1
-                dn[head] = target
+                dn[head] = base + target
                 dn[target] = D
                 cap_dn[head] = cap_p
                 cap_dn[target] = 0
@@ -844,8 +749,6 @@ class BatchCore:
                     if lst:
                         for h in lst:
                             ready_at[h] = wake
-        if drain_cand or freed_src:
-            self._act_filter = True
         if finished:
             active = sim.active
             done_ids = {w.pid for w in finished}
@@ -938,6 +841,25 @@ class BatchCore:
     # ------------------------------------------------------------------
     # scalar arbitration fallback
     # ------------------------------------------------------------------
+    def _multi_due(self, clock: int) -> bool:
+        """Whether :meth:`_arbitrate_multi` could claim anything now.
+
+        Its exact prefilter: a due multi-candidate head, or a queued
+        multi-candidate packet, with some free candidate.  When this is
+        False, a resolve call with no requests and no drains consumes
+        no RNG and mutates nothing, so the clock driver skips it.
+        """
+        if not (self._multi_heads or self._inj_multi):
+            return False
+        occ = self.sim.channel_occ
+        for due, cands in self._mh_info.values():
+            if due <= clock and any(occ[ch] == FREE for ch in cands):
+                return True
+        for _w, cands in self._inj_multi.values():
+            if any(occ[ch] == FREE for ch in cands):
+                return True
+        return False
+
     def _arbitrate_multi(self, grants, clock) -> None:
         """Claim loop over multi-candidate requests, in key order.
 
@@ -1083,11 +1005,11 @@ class BatchCore:
                 h = w.chain[0]
                 ready_at[h] = w.head_ready_at
                 self._set_head_target(h, w.dst)
-        # the rebuild rewrote the flit array wholesale: restart the
-        # body-phase active set from the live slots
-        self._act = (self.state.flits > 0).nonzero()[0]
-        self._act_add.clear()
-        self._act_filter = False
+        # the rebuild rewrote the flit array wholesale: restart this
+        # row's share of the driver's body-phase active set
+        driver = self._driver() if self._driver is not None else None
+        if driver is not None:
+            driver._reseed_row(self)
         # fault hooks may retry/retarget queued worms: rebuild the
         # injection cache from scratch rather than trusting it
         self._invalidate_inj_cache()

@@ -148,11 +148,15 @@ class WormholeSimulator:
         #: which step implementation runs ("reference" / "fast" /
         #: "batch"); resolved once — engine selection is per-run
         self.engine_name = config.resolved_engine
+        #: batch engine only: the array core, and the one-row clock
+        #: driver that steps it (built on the first step; see
+        #: :class:`repro.simulator.replica_batch.ReplicaBatchCore`)
+        self._vec = None
+        self._driver = None
         if self.engine_name == "batch":
             from repro.simulator.batch_engine import BatchCore
 
             self._vec = BatchCore(self)
-            self._move_impl = self._vec.move
         elif self.engine_name == "fast":
             self._move_impl = type(self)._move_fast
         else:
@@ -209,6 +213,8 @@ class WormholeSimulator:
     # ------------------------------------------------------------------
     def run(self) -> SimulationStats:
         """Run warmup + measurement and return the window statistics."""
+        if self._vec is not None:
+            return self._batch_driver()._run()[0]
         cfg = self.config
         step = self.step
         for _ in range(cfg.warmup_clocks):
@@ -246,6 +252,12 @@ class WormholeSimulator:
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance the simulation by one clock."""
+        if self._vec is not None:
+            driver = self._batch_driver()
+            driver._step()
+            # a hand-stepped run may finalize its stats at any clock
+            driver._flush_moved()
+            return
         if self.faults is not None:
             self.faults.on_clock(self)
         progressed = self._move_impl(self)
@@ -268,6 +280,24 @@ class WormholeSimulator:
             for w in self.active:
                 w.check_invariant()
         self.clock += 1
+
+    def _batch_driver(self):
+        """The one-row clock driver of a batch simulator, built on first use.
+
+        A simulator packed into a multi-row stack is driven only by that
+        stack: stepping the row alone would desynchronize it.
+        """
+        driver = self._driver
+        if driver is None:
+            if self._vec._driver is not None:
+                raise RuntimeError(
+                    "this simulator is one row of a multi-row replica "
+                    "stack; drive the ReplicaBatchCore, not the row"
+                )
+            from repro.simulator.replica_batch import ReplicaBatchCore
+
+            driver = self._driver = ReplicaBatchCore._one_row(self)
+        return driver
 
     # ------------------------------------------------------------------
     # internals

@@ -418,7 +418,7 @@ def _scenario_runs(
     the per-clock dispatch wall once instead of ``len(seeds)`` times.
     """
     traffic = scenario.traffic_pattern()
-    if engine in RELAXED_ENGINES and len(seeds) > 1:
+    if engine in RELAXED_ENGINES:
         results = run_replicated(
             routing,
             scenario.config(engine, 0),

@@ -1,74 +1,76 @@
-"""Replica-batched simulation: R seed-replicas in one stacked array sweep.
+"""The batch engine's clock loop: R >= 1 seed-replicas in one stacked sweep.
 
 Everything that consumes the batch engine — the statistical equivalence
 gate (seed-paired A/B runs), campaign sweeps, the Figure-8 replication —
 runs *many independent replicas of the same scenario*, differing only in
-seed.  Run sequentially, each replica pays the per-clock Python/numpy
-dispatch overhead (the fixed cost of the fused body sweep, the request
+seed.  Run one by one, each replica pays the per-clock Python/numpy
+dispatch overhead (the fixed cost of the body sweep, the request
 extraction, the clock-loop bookkeeping) all over again; at small-network
 scale that fixed cost dominates the actual event work.
 
-:class:`ReplicaBatchCore` stacks R independent ``engine="batch"``
-simulators into shared ``(R, K)`` state arrays and drives them with one
-fused clock loop:
+:class:`ReplicaBatchCore` is the one clock loop of ``engine="batch"``.
+It stacks R batch simulators (*rows*) into shared ``(R, K)`` state
+arrays and drives them with one fused loop.  A plain batch simulator is
+its one-row case: :meth:`WormholeSimulator.step` builds a one-row driver
+on first use, so sequential and stacked runs execute the same code.
 
 * **Stacked state, shared views.**  :func:`repro.simulator.vec_state.stack_states`
-  re-homes each replica's ``flits``/``dn``/``cap_at``/``cap_dn`` into
-  C-contiguous ``(R, K)`` stacks and rebinds the per-replica
+  re-homes each row's ``flits``/``dn``/``cap_at``/``cap_dn`` into
+  C-contiguous ``(R, K)`` stacks and rebinds the per-row
   :class:`~repro.simulator.vec_state.ArrayState` attributes to *row
   views*; each core's ``_ready_at`` request array is stacked the same
   way.  All scalar code paths (grant commits, drains, injections) keep
   mutating their own row through the existing methods, while the driver
   sweeps every row at once through the flat ``.reshape(-1)`` aliases.
-* **One fused body phase per clock.**  A single global active set holds
-  *global* slot ids (``r * K + k``, with a parallel ``r * K`` offset
-  array so no per-clock division is needed); one gather/compare/scatter
-  advances every replica's flits together, and the zero hits are split
-  back per replica in an event-proportional Python loop.
+* **One fused body phase per clock.**  A single active set holds
+  *global* slot ids (``r * K + k``), and ``dn`` stores global ids too,
+  so one gather/compare/scatter advances every row's flits with no
+  offset arithmetic — at R=1 it is the plain single-array sweep.  Zero
+  hits are split back per row in an event-proportional Python loop.
 * **One fused request extraction per clock.**  Due requests come from a
   single ``nonzero`` over the flat stacked ``ready_at``, partitioned
-  per replica (a Python walk when the set is small, ``searchsorted``
-  over the replica boundaries when not); each busy replica's unchanged
-  arbitration/commit/drain phase
-  (:meth:`~repro.simulator.batch_engine.BatchCore._resolve_phase`)
-  consumes its own slice.  The partition preserves ascending slot
-  order, so each replica consumes its arbitration RNG stream exactly as
-  a sequential run would.
-* **One merged traffic schedule.**  The per-replica precomputed arrival
-  lists are merged into one global ``(clock, replica, source)`` event
-  list walked by a single pointer — per-replica fire order is
-  preserved, so each replica's packet-shaping stream is consumed
-  identically to its sequential run.
-* **Early-drain masking.**  A replica with no due requests, no drains,
-  no freed ports and no multi-candidate fallbacks this clock is skipped
-  entirely — a drained replica stops costing resolve work (the
+  per row (a Python walk when the set is small, ``searchsorted`` over
+  the row boundaries when not); each busy row's arbitration/commit/drain
+  phase (:meth:`~repro.simulator.batch_engine.BatchCore._resolve_phase`)
+  consumes its own slice in ascending slot order.
+* **One merged traffic schedule.**  The per-row precomputed arrival
+  lists are merged into one global ``(clock, row, source)`` event list
+  walked by a single pointer; per-row fire order is preserved.
+* **Early-drain masking.**  A row with no due requests, no drains, no
+  freed ports and no multi-candidate fallbacks this clock is skipped
+  entirely — a drained row stops costing resolve work (the
   :attr:`ReplicaBatchCore.resolve_calls` counter makes the skipping
   observable).
+* **Live faults, tracers and external mutation, per row.**  Each clock
+  starts with every row's own sequential prologue, in order: its fault
+  runtime's ``on_clock``, then the atomic rebuild of a dirty row
+  (re-seeding only that row's active-set slots), then the decision-epoch
+  refresh.  Traffic firing checks the row's dead switches, tracers
+  record through the row's own simulator, invariant checks are read
+  live every clock, and each row's reconfiguration records reach its
+  finalized stats.
 
-**Determinism contract (packing invariance).**  Replica *r* of a
-replicated run produces a ``statistical_fingerprint`` *identical* to a
-sequential ``engine="batch"`` run with the same seed: replicas share no
-RNG streams (each core derives its own from its config seed via the
-PR-9 counter-hash scheme), the fused sweeps compute the same
-per-replica values the sequential phases would, and per-replica event
-ordering (arbitration requests, traffic firing, drains) is preserved by
-construction.  The test suite asserts this per seed across the traffic
-matrix, and the committed benchmark re-asserts it on every run.
-
-**Unsupported in replica mode** (use sequential runs): live fault
-schedules, tracers, and mid-run external mutation of worm/occupancy
-state (anything that would mark a core dirty).
+**Determinism contract (packing invariance).**  Row *r* of a stacked
+run produces results *identical* to the same simulator run alone (a
+one-row stack): rows share no RNG streams (each core derives its own
+from its config seed via the counter-hash scheme), the fused sweeps
+compute the same per-row values the one-row loop does, and per-row
+event ordering (fault events, arbitration requests, traffic firing,
+drains) is preserved by construction.  The test suite asserts this per
+seed across the traffic matrix and under live faults; golden pins of
+one-row results (``tests/test_batch_golden.py``) anchor the loop
+itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import weakref
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import (
-    FREE,
     DeadlockDetected,
     LivelockSuspected,
     WormholeSimulator,
@@ -88,12 +90,15 @@ __all__ = [
 #: runs with ``derive_seed(s, _REPLICA_KEY, r)``; replica 0 runs s itself
 _REPLICA_KEY = 0x5EED_0F0F
 
-#: request-set size up to which the per-replica partition runs as a
-#: plain Python walk instead of a searchsorted over replica boundaries
+#: request-set size up to which the per-row partition runs as a plain
+#: Python walk instead of a searchsorted over row boundaries
 _SMALL_PART = 48
 
+#: moving clocks of deferred per-row move accounting between flushes
+_MOVE_CHUNKS = 256
+
 #: shared empty request list — ``_resolve_phase`` only reads *reqs*, so
-#: replicas resolving for drains/multi alone can all share this one
+#: rows resolving for drains/multi alone can all share this one
 _EMPTY_REQS: List[int] = []
 
 
@@ -123,13 +128,14 @@ def replica_seeds(
 
 
 class ReplicaBatchCore:
-    """Fused clock-loop driver over R stacked ``engine="batch"`` simulators.
+    """The clock loop over R >= 1 stacked ``engine="batch"`` simulators.
 
     Build the simulators first (same routing, same scenario config,
-    per-replica seeds), then hand them over; construction re-homes their
-    state into the stacked arrays.  :meth:`run` drives warmup +
-    measurement for all replicas and returns the per-replica
-    :class:`~repro.simulator.stats.SimulationStats` in replica order.
+    per-replica seeds, fault runtimes and tracers as wanted), then hand
+    them over; construction re-homes their state into the stacked
+    arrays, after which only the stack may be driven.  :meth:`run`
+    drives warmup + measurement for all rows and returns the per-row
+    :class:`~repro.simulator.stats.SimulationStats` in row order.
     """
 
     def __init__(self, sims: Sequence[WormholeSimulator]) -> None:
@@ -141,228 +147,241 @@ class ReplicaBatchCore:
                     "replica batching requires engine='batch' simulators "
                     f"(got {sim.engine_name!r})"
                 )
-            if sim.faults is not None:
-                raise ValueError(
-                    "live fault schedules are unsupported in replica mode; "
-                    "run fault scenarios sequentially"
-                )
-            if sim.tracer is not None:
-                raise ValueError("tracers are unsupported in replica mode")
-            if sim.clock != 0:
+            if sim.clock != 0 or sim._vec._driver is not None:
                 raise ValueError("replica packing requires fresh simulators")
-        cfg = sims[0].config
-        scenario = cfg.with_seed(None)
+        scenario = sims[0].config.with_seed(None)
         for sim in sims[1:]:
             if sim.config.with_seed(None) != scenario:
                 raise ValueError(
                     "replicas must share one scenario config (seeds may differ)"
                 )
+        #: the stacked simulators, kept alive by the driver.  A one-row
+        #: driver (:meth:`_one_row`) is owned by its simulator instead
+        #: and leaves this empty — each row is reached through its
+        #: core's weak reference, so neither side forms a cycle
         self.sims: List[WormholeSimulator] = list(sims)
-        self.cores = [sim._vec for sim in self.sims]
-        R = len(self.cores)
+        self._bind(self.sims)
+
+    @classmethod
+    def _one_row(cls, sim: WormholeSimulator) -> "ReplicaBatchCore":
+        """The one-row driver a plain batch simulator steps itself with.
+
+        Built without :meth:`__init__`: *sim* owns the result, so the
+        driver keeps ``sims`` empty rather than referencing its owner,
+        and a lone simulator's construction stays one construction.
+        """
+        self = cls.__new__(cls)
+        self.sims = []
+        self._bind([sim])
+        return self
+
+    def _bind(self, sims: Sequence[WormholeSimulator]) -> None:
+        cores = [sim._vec for sim in sims]
+        self.cores = cores
+        R = len(cores)
         self.R = R
-        st0 = self.cores[0].state
+        st0 = cores[0].state
         K = st0.K
-        if any(c.state.K != K for c in self.cores):
+        if any(c.state.K != K for c in cores):
             raise ValueError("replicas must share the topology geometry")
         self.K = K
         self.SRC0 = st0.SRC0
-
-        # build candidate tables once up front (no faults -> the
-        # decision epoch never changes mid-run, so the per-clock
-        # epoch/dirty checks of the sequential path are not needed)
-        for core in self.cores:
-            core._prepare_clock()
+        cfg = sims[0].config
 
         # -- stacked state ------------------------------------------------
-        flits, dn, _cap_at, cap_dn = stack_states([c.state for c in self.cores])
+        flits, dn, _cap_at, cap_dn = stack_states([c.state for c in cores])
         #: flat aliases over the stacks (views: np.stack is C-contiguous)
         self._f_flat = flits.reshape(-1)
         self._dn_flat = dn.reshape(-1)
         self._cd_flat = cap_dn.reshape(-1)
-        W = self.cores[0]._ready_at.size  # request width: C + n
-        ready = np.stack([c._ready_at for c in self.cores])
-        for r, core in enumerate(self.cores):
+        W = cores[0]._ready_at.size  # request width: C + n
+        ready = np.stack([c._ready_at for c in cores])
+        for r, core in enumerate(cores):
             core._ready_at = ready[r]
         self._ready_flat = ready.reshape(-1)
         self.W = W
-        #: per-replica slice boundaries in flat request space
+        #: per-row slice boundaries in flat request space
         self._req_bounds = np.arange(1, R, dtype=np.int64) * W
         self._req_off = [r * W for r in range(R)]
 
-        # -- global body active set: global slot ids r*K + k, plus a
-        # parallel array of the r*K offsets (localizing a slot or
-        # computing its global downstream then needs no division)
-        parts: List[np.ndarray] = []
-        off_parts: List[np.ndarray] = []
-        for r, core in enumerate(self.cores):
-            if core._act_add:
-                core._act = np.concatenate(
-                    (core._act, np.asarray(core._act_add, dtype=np.int64))
-                )
-                core._act_add.clear()
-            if core._act.size:
-                parts.append(core._act + r * K)
-                off_parts.append(np.full(core._act.size, r * K, dtype=np.int64))
-        empty = np.empty(0, dtype=np.int64)
-        self._gact = np.concatenate(parts) if parts else empty
-        self._goff = np.concatenate(off_parts) if off_parts else empty
+        # -- global body active set (global slot ids r*K + k); grant
+        # commits append to _gact_add, drains request a compaction
         self._gact_add: List[int] = []
-        self._goff_add: List[int] = []
         self._gact_filter = False
+        ref = weakref.ref(self)
+        for core in cores:
+            core._driver = ref
+            core._gact_add = self._gact_add
+        self._gact = np.concatenate(
+            [c.state.base + (c.state.flits[: c.state.SINK0] > 0).nonzero()[0]
+             for c in cores]
+        )
 
-        #: prebuilt per-replica hot-loop rows (all stable objects: the
-        #: wheel's timer heap and pending set, the core's multi dicts
-        #: and the engine's occupancy list are mutated in place, never
-        #: reassigned)
-        self._wheel_rows = [
-            (r, sim._wheel._timers, sim._wheel, sim._wheel.pending,
-             self.cores[r]._scan_injections, self.cores[r]._inj_multi)
-            for r, sim in enumerate(self.sims)
+        #: per-row hot-loop tuples: core, weak simulator reference,
+        #: decision cache (read every clock for dirty/epoch changes) and
+        #: the injection wheel's timer heap, pending set and scanner (all
+        #: stable objects, mutated in place, never reassigned)
+        self._rows = [
+            (core, core._sim, sim.decision_cache, sim._wheel._timers,
+             sim._wheel, sim._wheel.pending, core._scan_injections)
+            for sim, core in zip(sims, cores)
         ]
-        self._multi_rows = [
-            (core._mh_info, core._inj_multi, sim.channel_occ)
-            for sim, core in zip(self.sims, self.cores)
-        ]
-        self._pairs = list(zip(self.sims, self.cores))
-        self._any_checks = any(sim._check_invariants for sim in self.sims)
-        #: replicas whose injection wheel needs attention (non-empty
-        #: pending set or timer heap).  Exact by construction: sources
-        #: enter a wheel only through queue mutations and wake calls,
-        #: all of which happen inside resolve calls, wheel scans or
-        #: traffic fires — each of which re-adds the replica here
-        self._wheel_attn: set = {
-            r
-            for r, sim in enumerate(self.sims)
-            if sim._wheel.pending or sim._wheel._timers
-        }
-        #: replicas whose core currently holds multi-candidate requests
-        #: (parked heads or injections) — exact by construction: entries
-        #: are only added in `_scan_injections` (checked after every
-        #: scan) and mutated inside `_resolve_phase` (checked after
-        #: every call)
-        self._multi_rs: set = {
-            r
-            for r, core in enumerate(self.cores)
-            if core._multi_heads or core._inj_multi
-        }
+        #: row stats collectors (no back-reference to the simulator)
+        self._stats = [sim.stats for sim in sims]
+        #: per-row zero hits of the body phase (drained channels, freed
+        #: source ports) and due request slots, filled and consumed
+        #: within each clock
+        self._drains: List[List[int]] = [[] for _ in range(R)]
+        self._freed: List[List[int]] = [[] for _ in range(R)]
+        self._reqs: List[Optional[Sequence[int]]] = [None] * R
 
-        # -- merged traffic: one (clock, replica, source) event list ------
-        self._fires = [core._fire_arrival for core in self.cores]
+        # -- merged traffic: one (clock, row, source) event list ----------
+        self._fires = [core._fire_arrival for core in cores]
         self._mg_clks: List[int] = []
         self._mg_reps: List[int] = []
         self._mg_srcs: List[int] = []
         self._mg_ptr = 0
         self._merge_traffic()
 
-        self._clock = 0
-        self._recording = False
-        self._moved_acc = np.zeros(R, dtype=np.int64)
-        #: deferred per-replica move accounting: per-clock replica ids
-        #: of the movers are chunked and bincounted in batches
+        self._clock = sims[0].clock
+        #: deferred move accounting while the stats window is open:
+        #: clocks since the last flush and the movers' global slot ids,
+        #: chunked per clock and counted by row in batches (see
+        #: `_flush_moved`)
+        self._rec_clocks = 0
         self._mv_chunks: List[np.ndarray] = []
-        #: replica id per active slot (``goff // K``), cached between
-        #: active-set changes for the deferred move accounting
-        self._offs = np.empty(0, dtype=np.int64)
-        self._offs_stale = True
         #: fused body plan cache — ``dn``/``cap_dn`` mutate only inside
-        #: ``_resolve_phase``, so the gathered downstream ids and
+        #: resolve calls and rebuilds, so the gathered downstream ids and
         #: capacities stay valid until the next grant or set change
         self._plan_dirty = True
         self._dng = np.empty(0, dtype=np.int64)
         self._cdg = np.empty(0, dtype=np.int64)
-        #: reused boolean buffer for the fused due-request extraction
-        self._due_buf = np.empty(R * W, dtype=bool)
-        self._last_progress = [0] * R
+        self._last_progress = [sim._last_progress for sim in sims]
         self._need_progress = cfg.max_stall_clocks is not None
         self._deadlock_interval = cfg.deadlock_interval
-        #: total `_resolve_phase` invocations across replicas — the
-        #: early-drain mask makes quiet replicas skip resolve entirely,
-        #: so tests can assert this stays below R * clocks
+        #: total `_resolve_phase` invocations across rows — the
+        #: early-drain mask makes quiet rows skip resolve entirely, so
+        #: tests can assert this stays below R * clocks
         self.resolve_calls = 0
 
     # ------------------------------------------------------------------
     def _merge_traffic(self) -> None:
-        """(Re)merge every replica's unfired arrivals into one list.
+        """(Re)merge every row's unfired arrivals into one list.
 
         Consumes the per-core schedules (they are emptied afterwards, so
         a later horizon extension contributes only newly drawn events)
         and the unfired tail of the previous merge.  Sorting by
-        ``(clock, replica, source)`` reproduces each replica's
-        sequential fire order exactly.
+        ``(clock, row, source)`` reproduces each row's fire order; a
+        lone non-empty schedule is already in that order.
         """
         ptr = self._mg_ptr
-        parts_c = [np.asarray(self._mg_clks[ptr:], dtype=np.int64)]
-        parts_r = [np.asarray(self._mg_reps[ptr:], dtype=np.int64)]
-        parts_s = [np.asarray(self._mg_srcs[ptr:], dtype=np.int64)]
+        parts = []
+        if ptr < len(self._mg_clks):
+            parts.append(
+                (self._mg_clks[ptr:], self._mg_reps[ptr:], self._mg_srcs[ptr:])
+            )
         for r, core in enumerate(self.cores):
-            if core._gen_clks:
-                c = np.asarray(core._gen_clks[core._gen_ptr :], dtype=np.int64)
-                s = np.asarray(core._gen_srcs[core._gen_ptr :], dtype=np.int64)
-                parts_c.append(c)
-                parts_r.append(np.full(c.size, r, dtype=np.int64))
-                parts_s.append(s)
-                core._gen_clks = []
-                core._gen_srcs = []
-                core._gen_ptr = 0
-        clks = np.concatenate(parts_c)
-        reps = np.concatenate(parts_r)
-        srcs = np.concatenate(parts_s)
-        order = np.lexsort((srcs, reps, clks))
-        self._mg_clks = clks[order].tolist()
-        self._mg_reps = reps[order].tolist()
-        self._mg_srcs = srcs[order].tolist()
+            gp = core._gen_ptr
+            if gp < len(core._gen_clks):
+                clks, srcs = core._gen_clks, core._gen_srcs
+                if gp:
+                    clks, srcs = clks[gp:], srcs[gp:]
+                parts.append((clks, [r] * len(clks), srcs))
+            core._gen_clks = []
+            core._gen_srcs = []
+            core._gen_ptr = 0
+        if len(parts) > 1:
+            clks, reps, srcs = (
+                np.concatenate([np.asarray(p[i], dtype=np.int64) for p in parts])
+                for i in range(3)
+            )
+            order = np.lexsort((srcs, reps, clks))
+            parts = [(
+                clks[order].tolist(), reps[order].tolist(), srcs[order].tolist()
+            )]
+        self._mg_clks, self._mg_reps, self._mg_srcs = (
+            parts[0] if parts else ([], [], [])
+        )
         self._mg_ptr = 0
         self._mg_horizon = min(core._gen_horizon for core in self.cores)
 
     def _extend_merged(self, clock: int) -> None:
-        """Grow every replica's schedule past *clock* and re-merge."""
+        """Grow every row's schedule past *clock* and re-merge.
+
+        Stepping past the configured run length (manual driving) grows
+        the horizon geometrically, so repeated stepping stays amortized.
+        """
         for core in self.cores:
             if clock > core._gen_horizon:
                 core._extend_traffic(max(clock + 4096, core._gen_horizon * 2))
         self._merge_traffic()
 
+    def _reseed_row(self, core) -> None:
+        """Replace one row's active-set slots after its array rebuild.
+
+        The rebuild rewrote the row's flit counts wholesale: drop every
+        slot of that row (pending appends included) and append its live
+        slots in ascending order, as a fresh active set would hold them.
+        Other rows keep their slots and relative order.
+        """
+        gact = self._gact
+        if self._gact_add:
+            gact = np.concatenate(
+                (gact, np.asarray(self._gact_add, dtype=np.int64))
+            )
+            self._gact_add.clear()
+        st = core.state
+        lo = st.base
+        keep = (gact < lo) | (gact >= lo + self.K)
+        live = lo + (st.flits[: st.SINK0] > 0).nonzero()[0]
+        self._gact = np.concatenate((gact[keep], live))
+        self._plan_dirty = True
+
     # ------------------------------------------------------------------
-    def _step(self) -> None:
-        """One fused clock across all replicas (mirrors ``step()``)."""
+    def _step(self) -> None:  # noqa: C901 - hot loop, kept flat
+        """One fused clock across all rows (each row's ``step()``)."""
         clock = self._clock
-        sims = self.sims
-        cores = self.cores
-        R = self.R
-        K = self.K
-        SRC0 = self.SRC0
         f_flat = self._f_flat
 
-        # -- phase 1: fused body moves across all replicas --------------
+        # -- prologue, per row: faults, dirty rebuild, epoch refresh;
+        # then the injection wheel (it must run before extraction, as
+        # its scans arm same-clock requests in ``_ready_at``; the body
+        # phase reads none of the state it touches)
+        sims = []
+        for core, ref, cache, timers, wheel, pending, scan in self._rows:
+            sim = ref()
+            sims.append(sim)
+            if sim.faults is not None:
+                sim.faults.on_clock(sim)
+            if core._dirty or cache.epoch != core._cand_epoch:
+                core._prepare_clock()
+            if timers and timers[0][0] <= clock:
+                wheel.advance(clock)
+            if pending:
+                scan(pending, clock)
+
+        # -- fused body moves across all rows ----------------------------
         gact = self._gact
-        goff = self._goff
         if self._gact_add or self._gact_filter:
             self._plan_dirty = True
-            self._offs_stale = True
             if self._gact_add:
                 gact = np.concatenate(
                     (gact, np.asarray(self._gact_add, dtype=np.int64))
                 )
-                goff = np.concatenate(
-                    (goff, np.asarray(self._goff_add, dtype=np.int64))
-                )
                 self._gact_add.clear()
-                self._goff_add.clear()
-                self._gact = gact
-                self._goff = goff
             if self._gact_filter:
-                live = f_flat[gact] > 0
-                gact = gact[live]
-                goff = goff[live]
-                self._gact = gact
-                self._goff = goff
+                gact = gact[f_flat[gact] > 0]
                 self._gact_filter = False
-        drains: Dict[int, List[int]] = {}
-        freed: Dict[int, List[int]] = {}
+            self._gact = gact
+        recording = self._stats[0].active
+        if recording:
+            self._rec_clocks += 1
+        drains = self._drains
+        freed = self._freed
         moved = None
         if gact.size:
             if self._plan_dirty:
-                dng = self._dng = self._dn_flat[gact] + goff
+                dng = self._dng = self._dn_flat[gact]
                 self._cdg = self._cd_flat[gact]
                 self._plan_dirty = False
             else:
@@ -370,76 +389,41 @@ class ReplicaBatchCore:
             room = f_flat[dng] < self._cdg
             movers = gact[room]
             if movers.size:
-                fm = f_flat[movers] - 1
-                f_flat[movers] = fm
-                f_flat[dng[room]] += 1  # targets unique per replica row
+                f_flat[movers] -= 1
+                f_flat[dng[room]] += 1  # targets unique (vec_state docstring)
+                K = self.K
                 if self._need_progress:
-                    moved = np.bincount(goff[room] // K, minlength=R)
-                    if self._recording:
-                        self._moved_acc += moved
-                elif self._recording:
-                    # deferred per-replica move accounting: chunk the
-                    # movers' replica ids, bincount them in batches
-                    if self._offs_stale:
-                        self._offs = goff // K
-                        self._offs_stale = False
-                    self._mv_chunks.append(self._offs[room])
-                    if len(self._mv_chunks) >= 256:
+                    moved = np.bincount(movers // K, minlength=self.R)
+                if recording:
+                    self._mv_chunks.append(movers)
+                    if len(self._mv_chunks) >= _MOVE_CHUNKS:
                         self._flush_moved()
-                # zero detection reads f *after* the incoming adds (as
-                # in the sequential body), but adds only ever raise a
-                # count — so the pre-add decrements are a superset gate
-                # and the exact post-add mask is needed only when a
-                # decrement actually reached zero
-                if np.count_nonzero(fm == 0):
-                    zmask = f_flat[movers] == 0
-                    mo = goff[room]
-                    for g, o in zip(
-                        movers[zmask].tolist(), mo[zmask].tolist()
-                    ):
-                        k = g - o
-                        r = o // K
-                        if k >= SRC0:
-                            lst = freed.get(r)
-                            if lst is None:
-                                freed[r] = [k - SRC0]
-                            else:
-                                lst.append(k - SRC0)
-                        else:
-                            lst = drains.get(r)
-                            if lst is None:
-                                drains[r] = [k]
-                            else:
-                                lst.append(k)
+                # zero detection reads f *after* the incoming adds: a
+                # channel that both sent and received this clock holds
+                # one flit and must not surface as a drain candidate
+                SRC0 = self.SRC0
+                for g in movers[f_flat[movers] == 0].tolist():
+                    r, k = divmod(g, K)
+                    if k >= SRC0:
+                        freed[r].append(k - SRC0)
+                    else:
+                        drains[r].append(k)
 
-        # -- phase 2: per-replica injection wheels (before extraction) --
-        multi_rs = self._multi_rs
-        attn = self._wheel_attn
-        if attn:
-            rows = self._wheel_rows
-            for r in tuple(attn):
-                _r, timers, wheel, pending, scan, inj_multi = rows[r]
-                if timers and timers[0][0] <= clock:
-                    wheel.advance(clock)
-                if pending:
-                    scan(pending, clock)
-                    if inj_multi:
-                        multi_rs.add(r)
-                if not pending and not timers:
-                    attn.discard(r)
-
-        # -- one fused request extraction, per-replica partition --------
-        np.less_equal(self._ready_flat, clock, out=self._due_buf)
-        req_by_r: Dict[int, object] = {}
-        if np.count_nonzero(self._due_buf):
-            idx = self._due_buf.nonzero()[0]
-            if idx.size <= _SMALL_PART:
-                W = self.W
+        # -- one fused request extraction, per-row partition -------------
+        idx = (self._ready_flat <= clock).nonzero()[0]
+        reqs_of = self._reqs
+        if idx.size:
+            W = self.W
+            r = int(idx[0]) // W
+            if r == int(idx[-1]) // W:
+                # one row has all of it (always so at R=1)
+                reqs_of[r] = idx - r * W if r else idx
+            elif idx.size <= _SMALL_PART:
                 for g in idx.tolist():
                     r, h = divmod(g, W)
-                    lst = req_by_r.get(r)
+                    lst = reqs_of[r]
                     if lst is None:
-                        req_by_r[r] = [h]
+                        reqs_of[r] = [h]
                     else:
                         lst.append(h)
             else:
@@ -448,82 +432,39 @@ class ReplicaBatchCore:
                 offs = self._req_off
                 for r, cut in enumerate([*cuts.tolist(), idx.size]):
                     if cut > prev:
-                        req_by_r[r] = idx[prev:cut] - offs[r]
+                        part = idx[prev:cut]
+                        reqs_of[r] = part - offs[r] if r else part
                     prev = cut
 
-        # -- per-replica arbitration / commits / drains ------------------
-        # (early-drain mask: replicas with nothing due, nothing
-        # draining and no multi-candidate fallbacks are skipped)
-        work = set(req_by_r)
-        if drains:
-            work.update(drains)
-        if freed:
-            work.update(freed)
-        if multi_rs:
-            # a replica whose only pending work is multi-candidate
-            # fallbacks resolves only if some candidate is actually
-            # free and due — the exact prefilter `_arbitrate_multi`
-            # applies, under which it consumes no RNG and mutates
-            # nothing, so skipping the call entirely is equivalent
-            multi_rows = self._multi_rows
-            for r in multi_rs:
-                if r in work:
+        # -- per-row arbitration / commits / drains ----------------------
+        progress = self._last_progress
+        for r, core in enumerate(self.cores):
+            reqs = reqs_of[r]
+            drain_cand = drains[r]
+            freed_src = freed[r]
+            if reqs is None:
+                if not (drain_cand or freed_src or core._multi_due(clock)):
+                    # early-drain mask: nothing due, nothing draining
                     continue
-                mh_info, inj_multi, occ = multi_rows[r]
-                for due, cands in mh_info.values():
-                    if due <= clock and any(
-                        occ[ch] == FREE for ch in cands
-                    ):
-                        work.add(r)
-                        break
-                else:
-                    for entry in inj_multi.values():
-                        if any(occ[ch] == FREE for ch in entry[1]):
-                            work.add(r)
-                            break
-        if work:
-            gact_add = self._gact_add
-            goff_add = self._goff_add
-            progress = self._last_progress if self._need_progress else None
-            self.resolve_calls += len(work)
-            for r in work:
-                core = cores[r]
-                reqs = req_by_r.get(r)
-                granted = core._resolve_phase(
-                    clock,
-                    drains.get(r) or [],
-                    freed.get(r) or [],
-                    reqs if reqs is not None else _EMPTY_REQS,
-                )
-                aa = core._act_add
-                if aa:
-                    base = r * K
-                    for k in aa:
-                        gact_add.append(base + k)
-                        goff_add.append(base)
-                    aa.clear()
-                if core._act_filter:
-                    core._act_filter = False
-                    self._gact_filter = True
-                if core._multi_heads or core._inj_multi:
-                    multi_rs.add(r)
-                else:
-                    multi_rs.discard(r)
-                row = self._wheel_rows[r]
-                if row[3] or row[1]:  # pending / timers touched in-call
-                    attn.add(r)
-                if granted and progress is not None:
-                    progress[r] = clock
-            # a resolve call may retarget an existing head's downstream
-            # channel (``_set_head_target``), so the cached body plan is
-            # stale whether or not the active set changed
-            self._plan_dirty = True
+                reqs = _EMPTY_REQS
+            else:
+                reqs_of[r] = None
+            self.resolve_calls += 1
+            if core._resolve_phase(clock, drain_cand, freed_src, reqs):
+                # grant commits rewrite dn/cap_dn of live slots (the
+                # advancing head's among them): the body plan is stale
+                self._plan_dirty = True
+                progress[r] = clock
+            if drain_cand or freed_src:
+                # slots may have emptied: compact the set next clock
+                self._gact_filter = True
+                drain_cand.clear()
+                freed_src.clear()
 
-        # -- watchdogs (same clocks as the sequential step) --------------
+        # -- watchdogs ----------------------------------------------------
         interval = self._deadlock_interval
         if interval and clock % interval == interval - 1:
             for sim in sims:
-                sim.clock = clock
                 dead = sim.find_deadlocked_worms()
                 if dead:
                     raise DeadlockDetected(sim._deadlock_report(dead))
@@ -537,11 +478,10 @@ class ReplicaBatchCore:
                 if clock - progress[r] >= stall and (
                     sim.active or any(sim.queues)
                 ):
-                    sim.clock = clock
                     sim._last_progress = progress[r]
                     raise LivelockSuspected(sim._stall_report(stall))
 
-        # -- merged traffic: fire due arrivals in (replica, src) order ---
+        # -- merged traffic: fire due arrivals in (row, src) order -------
         if clock > self._mg_horizon:
             self._extend_merged(clock)
         clks = self._mg_clks
@@ -551,73 +491,70 @@ class ReplicaBatchCore:
             srcs = self._mg_srcs
             fires = self._fires
             while ptr < len(clks) and clks[ptr] <= clock:
-                rep = reps[ptr]
-                fires[rep](srcs[ptr], clock, ())
-                attn.add(rep)  # the queue append woke the wheel
+                fires[reps[ptr]](srcs[ptr], clock)
                 ptr += 1
             self._mg_ptr = ptr
 
-        # -- dirty guard / invariants (tests, never the hot path) --------
-        if self._any_checks:
-            for sim, core in self._pairs:
-                if core._dirty:
-                    raise RuntimeError(
-                        "external worm/occupancy mutation mid-run is "
-                        "unsupported in replica mode"
-                    )
-                if sim._check_invariants:
-                    sim.clock = clock
-                    core.sync()
-                    for w in sim.active:
-                        w.check_invariant()
-
-        self._clock = clock + 1
+        # -- invariant checks (read live: tests toggle them mid-run) -----
+        clock += 1
+        for sim in sims:
+            if sim._check_invariants:
+                sim._vec.sync()
+                for w in sim.active:
+                    w.check_invariant()
+            sim.clock = clock
+        self._clock = clock
 
     def _flush_moved(self) -> None:
-        """Fold the chunked mover replica-ids into per-replica counts."""
-        if self._mv_chunks:
-            ids = np.concatenate(self._mv_chunks)
-            self._mv_chunks.clear()
-            self._moved_acc += np.bincount(ids, minlength=self.R)
+        """Fold the deferred move accounting into each row's stats."""
+        n = self._rec_clocks
+        if not n:
+            return
+        R, K = self.R, self.K
+        ids = np.concatenate(self._mv_chunks or [np.empty(0, np.int64)])
+        self._mv_chunks.clear()
+        # a slot histogram summed per row: cheaper than dividing every id
+        per_row = np.bincount(ids, minlength=R * K).reshape(R, K).sum(axis=1)
+        for stats, moved in zip(self._stats, per_row.tolist()):
+            stats.vec_moved_flits += moved
+            stats.vec_clocks += n
+        self._rec_clocks = 0
 
     # ------------------------------------------------------------------
     def run(self) -> List[SimulationStats]:
-        """Warmup + measurement for all replicas; per-replica stats."""
-        cfg = self.sims[0].config
+        """Warmup + measurement for all rows; per-row stats."""
+        return self._run()
+
+    def _run(self) -> List[SimulationStats]:
+        sims = [core.sim for core in self.cores]
+        cfg = sims[0].config
         step = self._step
         for _ in range(cfg.warmup_clocks):
             step()
-        for sim in self.sims:
-            sim.stats.active = True
-        self._recording = True
-        sample_timeline = any(
-            sim.stats.timeline_interval > 0 for sim in self.sims
-        )
-        if sample_timeline:
+        for stats in self._stats:
+            stats.active = True
+        if any(stats.timeline_interval > 0 for stats in self._stats):
             for _ in range(cfg.measure_clocks):
                 step()
-                for sim in self.sims:
-                    stats = sim.stats
+                for stats in self._stats:
                     stats.window_clocks += 1
                     if stats.timeline_interval > 0:
                         stats.on_tick()
         else:
             for _ in range(cfg.measure_clocks):
                 step()
-        self._flush_moved()
-        results: List[SimulationStats] = []
-        for r, sim in enumerate(self.sims):
-            sim.clock = self._clock
-            stats = sim.stats
-            if not sample_timeline:
+            for stats in self._stats:
                 stats.window_clocks += cfg.measure_clocks
-            stats.vec_moved_flits += int(self._moved_acc[r])
-            stats.vec_clocks += cfg.measure_clocks
-            backlog = sum(len(q) for q in sim.queues)
-            results.append(
-                stats.finalize(queue_backlog=backlog, reconfigurations=())
+        self._flush_moved()
+        return [
+            sim.stats.finalize(
+                queue_backlog=sum(len(q) for q in sim.queues),
+                reconfigurations=(
+                    sim.faults.records if sim.faults is not None else ()
+                ),
             )
-        return results
+            for sim in sims
+        ]
 
 
 def run_replicated(
@@ -648,7 +585,4 @@ def run_replicated(
         WormholeSimulator(routing, base.with_seed(s), traffic=traffic)
         for s in seeds
     ]
-    if len(sims) == 1:
-        # nothing to fuse: run the lone replica through the plain loop
-        return [sims[0].run()]
     return ReplicaBatchCore(sims).run()

@@ -13,6 +13,10 @@ Events
 ``hop``      header acquires the next channel
 ``consume``  header reaches the destination's consumption port
 ``done``     last flit consumed
+``drop``     a live fault removed the worm from the network
+``truncate`` a link fault cut the worm (``drain`` policy): the fragment
+             past the break keeps draining, the rest is gone
+``retry``    a faulted packet re-entered its source queue (new pid)
 
 The recorder is deliberately engine-agnostic (events carry plain ints),
 costs one method call per *header* event — body flits are not traced —
@@ -25,7 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-EVENTS = ("gen", "inject", "hop", "consume", "done")
+EVENTS = ("gen", "inject", "hop", "consume", "done", "drop", "truncate", "retry")
 
 
 @dataclass

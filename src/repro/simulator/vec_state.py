@@ -21,11 +21,18 @@ rule covers consumption, in-network advances and source feeds alike:
     here until a grant redirects it, which is exactly what blocks the
     header flit from advancing on its own.
 
+Once the arrays are stacked into the clock driver's ``(R, K)`` rows
+(:func:`stack_states`), row *r* lives at *global* slot ids
+``base + k`` with ``base = r * K``, and ``dn`` holds global ids: the
+driver's fused body phase gathers and scatters the flat stack with no
+per-clock offset arithmetic.  Row 0 (and every unstacked state) has
+``base = 0``, where global and local ids coincide.
+
 Arrays:
 
 * ``flits[k]`` — flit count buffered in channel *k* (monotone counter
   for sink slots);
-* ``dn[k]`` — the downstream channel of *k*: the next channel toward
+* ``dn[k]`` — the (global) downstream slot of *k*: the next channel toward
   the head for a held chain channel, the tail channel for a feeding
   source slot, the sink slot for a consuming head, the dummy for a
   parked head.  Only meaningful while ``flits[k] > 0`` or *k* is held;
@@ -67,7 +74,7 @@ class ArrayState:
     """Flat flit/topology arrays over the unified channel id space."""
 
     __slots__ = (
-        "C", "S", "SRC0", "SINK0", "D", "K",
+        "C", "S", "SRC0", "SINK0", "D", "K", "base",
         "flits", "dn", "cap_at", "cap_dn", "occ", "cap", "cap_sink",
     )
 
@@ -79,6 +86,8 @@ class ArrayState:
         self.SINK0 = C + S
         self.D = C + 2 * S
         self.K = self.D + 1
+        #: global id of local slot 0 (``r * K`` once stacked as row r)
+        self.base = 0
         #: the three capacity constants, for incremental cap_dn upkeep
         self.cap = buffer_flits
         self.cap_sink = np.iinfo(np.int64).max // 2
@@ -128,6 +137,8 @@ class ArrayState:
                 f[s] = w.flits_at_source
                 dn[s] = ch[-1]
         self.cap_dn[:] = self.cap_at[dn]
+        if self.base:
+            dn += self.base
 
     def sync_worms(self, sim) -> None:
         """Write the array flit counts back onto the Worm objects.
@@ -161,8 +172,9 @@ def stack_states(states):
     *row view* of the stack.  Because the rows are views, all existing
     scalar code paths (grant commits, drains, :meth:`ArrayState.rebuild`,
     which writes in place) keep working unchanged on the shared memory,
-    while the replica driver sweeps all rows at once through the flat
-    ``.reshape(-1)`` aliases.
+    while the clock driver sweeps all rows at once through the flat
+    ``.reshape(-1)`` aliases.  Row *r*'s ``base`` becomes ``r * K`` and
+    its ``dn`` entries are shifted to global ids.
 
     ``occ`` is *not* stacked: the batch core rebinds it as a view of
     its own extended-occupancy array, which stays per replica.
@@ -178,6 +190,8 @@ def stack_states(states):
     cap_at = np.stack([st.cap_at for st in states])
     cap_dn = np.stack([st.cap_dn for st in states])
     for r, st in enumerate(states):
+        dn[r] += r * K - st.base
+        st.base = r * K
         st.flits = flits[r]
         st.dn = dn[r]
         st.cap_at = cap_at[r]

@@ -231,6 +231,47 @@ class TestEngineHooks:
         stats = sim.stats.finalize(sum(len(q) for q in sim.queues))
         assert stats.delivered_packets > 0
 
+    def test_hand_stepped_move_telemetry(self, net):
+        """Stepping by hand fills the ``vec_*`` counters as ``run()`` does."""
+        _topo, routing = net
+        cfg = _cfg()
+        ran = _run(routing, cfg)
+        sim = WormholeSimulator(routing, cfg)
+        for _ in range(cfg.warmup_clocks):
+            sim.step()
+        sim.stats.active = True
+        for _ in range(cfg.measure_clocks):
+            sim.step()
+            sim.stats.window_clocks += 1
+        stats = sim.stats.finalize(sum(len(q) for q in sim.queues))
+        assert stats.vec_clocks == cfg.measure_clocks
+        assert stats.vec_moved_flits == ran.vec_moved_flits > 0
+        assert stats.vec_flits_per_clock == ran.vec_flits_per_clock
+        assert stats.statistical_fingerprint() == ran.statistical_fingerprint()
+
+    def test_invariant_checks_enabled_mid_run(self, net, monkeypatch):
+        """The clock loop reads the invariant-check flag every clock: a
+        flag raised after the first step must take effect at once."""
+        from repro.simulator.packet import Worm
+
+        _topo, routing = net
+        checked = []
+        real = Worm.check_invariant
+
+        def counting(self):
+            checked.append(self.pid)
+            return real(self)
+
+        monkeypatch.setattr(Worm, "check_invariant", counting)
+        sim = WormholeSimulator(routing, _cfg(warmup_clocks=0))
+        for _ in range(50):
+            sim.step()
+        assert sim.active and not checked
+        sim.enable_invariant_checks()
+        for _ in range(50):
+            sim.step()
+        assert checked
+
     def test_selection_policies_run(self, net):
         _topo, routing = net
         for policy in ("random", "first", "least-congested"):

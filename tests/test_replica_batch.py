@@ -11,6 +11,9 @@ pin that contract directly:
 * independence of packing: a replica's result is unchanged between
   running alone, in a full stack, or in an arbitrary subset (the
   partial groups ledger resume produces);
+* per-row live faults, tracers and external dirty-array rebuilds: each
+  row of a stack equals its own one-row run (records and trace events
+  included), and a stacked row cannot be stepped alone;
 * the seed-derivation scheme (``replica_seed`` / ``replica_seeds``);
 * early-drain masking: quiet replicas stop costing resolve work;
 * a hypothesis property randomizing (R, seed, load) over the whole
@@ -35,6 +38,12 @@ from repro.experiments.parallel import (
     run_unit,
     run_unit_group,
 )
+from repro.faults import (
+    FaultRuntime,
+    FaultSchedule,
+    ReconfigurationController,
+    RetryPolicy,
+)
 from repro.simulator import SimulationConfig, WormholeSimulator
 from repro.simulator.replica_batch import (
     ReplicaBatchCore,
@@ -42,6 +51,7 @@ from repro.simulator.replica_batch import (
     replica_seeds,
     run_replicated,
 )
+from repro.simulator.trace import TraceRecorder
 from repro.simulator.traffic import HotspotTraffic
 from repro.topology.generator import random_irregular_topology
 
@@ -136,8 +146,8 @@ class TestStackedEqualsSequential:
 
 class TestPackingInvariance:
     def test_replica_zero_alone_vs_stacked(self, net):
-        # R=1 runs the plain loop; R=8 runs the fused driver — replica 0
-        # (the base seed) must not notice the difference
+        # R=1 is the one-row stack, R=8 a full one — replica 0 (the
+        # base seed) must not notice the difference
         _topo, routing = net
         alone = run_replicated(routing, _cfg(replicas=1))[0]
         stacked = run_replicated(routing, _cfg(replicas=8))[0]
@@ -158,6 +168,154 @@ class TestPackingInvariance:
         stacked = run_replicated(routing, _cfg(replicas=4))
         prints = {s.statistical_fingerprint() for s in stacked}
         assert len(prints) == 4
+
+
+def _records(stats):
+    return [
+        (r.trigger_clock, r.swap_clock, r.routing_name,
+         r.ejected_worms, r.cancelled_packets)
+        for r in stats.reconfigurations
+    ]
+
+
+def _trace_events(tracer):
+    return [(t.pid, t.src, t.dst, list(t.events)) for t in tracer]
+
+
+class TestLiveFaultsAndTracers:
+    """Rows with their own fault runtimes and tracers pack invariantly."""
+
+    #: (fault-schedule seed, crossing-worm policy) of each row
+    ROWS = ((5, "drop"), (6, "drain"), (7, "drop"))
+
+    @staticmethod
+    def _row_sim(topo, routing, seed, fault_rng, policy, traced):
+        sched = FaultSchedule.random(
+            topo,
+            permanent_links=1,
+            link_flaps=1,
+            switch_failures=1,
+            window=(120, 420),
+            flap_duration=100,
+            rng=fault_rng,
+        )
+        ctrl = ReconfigurationController(
+            lambda sub: build_down_up_routing(sub, rng=7), drain_clocks=40
+        )
+        sim = WormholeSimulator(routing, _cfg(seed=seed))
+        sim.attach_faults(
+            FaultRuntime(sched, ctrl, retry=RetryPolicy(), policy=policy)
+        )
+        if traced:
+            sim.tracer = TraceRecorder()
+        return sim
+
+    def _sims(self, net, seeds):
+        topo, routing = net
+        return [
+            self._row_sim(topo, routing, seed, fault_rng, policy, traced=r == 1)
+            for r, (seed, (fault_rng, policy)) in enumerate(
+                zip(seeds, self.ROWS)
+            )
+        ]
+
+    def test_rows_equal_their_one_row_runs(self, net):
+        seeds = replica_seeds(_cfg(replicas=3))
+        stacked_sims = self._sims(net, seeds)
+        stacked = ReplicaBatchCore(stacked_sims).run()
+        alone_sims = self._sims(net, seeds)
+        alone = [sim.run() for sim in alone_sims]
+        for a, b in zip(stacked, alone):
+            _assert_stats_equal(a, b)
+            assert a.fault_drops > 0
+            assert len(a.reconfigurations) >= 2
+            assert _records(a) == _records(b)
+        assert len(stacked_sims[1].tracer) > 0
+        assert _trace_events(stacked_sims[1].tracer) == _trace_events(
+            alone_sims[1].tracer
+        )
+        assert stacked_sims[0].tracer is None
+
+    def test_external_dirty_row_rebuilds_in_place(self, net):
+        """A row marked dirty mid-run, with its arrays clobbered, is
+        rebuilt from its worm objects alone: it ends exactly like its
+        one-row run with a clean rebuild, and its siblings like theirs."""
+        _topo, routing = net
+        seeds = replica_seeds(_cfg(replicas=3))
+
+        def drive(sims, step, dirty_row, clobber):
+            for sim in sims:
+                sim.stats.active = True
+            for clock in range(500):
+                if clock == 250 and dirty_row is not None:
+                    core = sims[dirty_row]._vec
+                    core.sync()
+                    if clobber:
+                        core.state.flits[:] = 0
+                        core.state.occ[:] = -1
+                    core._dirty = True
+                step()
+                for sim in sims:
+                    sim.stats.window_clocks += 1
+            return [
+                sim.stats.finalize(sum(len(q) for q in sim.queues))
+                for sim in sims
+            ]
+
+        stacked_sims = [
+            WormholeSimulator(routing, _cfg(seed=s)) for s in seeds
+        ]
+        stacked = drive(
+            stacked_sims, ReplicaBatchCore(stacked_sims)._step, 1, True
+        )
+        for r, seed in enumerate(seeds):
+            alone_sim = WormholeSimulator(routing, _cfg(seed=seed))
+            alone = drive(
+                [alone_sim], alone_sim.step, 0 if r == 1 else None, False
+            )
+            _assert_stats_equal(stacked[r], alone[0])
+
+    def test_rebuild_reseeds_only_its_row(self, net):
+        """A row's rebuild replaces that row's active-set slots with its
+        live slots, ascending; the other rows' slots keep their order."""
+        _topo, routing = net
+        sims = [WormholeSimulator(routing, _cfg(seed=s)) for s in (4, 5, 6)]
+        driver = ReplicaBatchCore(sims)
+        for _ in range(200):
+            driver._step()
+        K = driver.K
+
+        def row_slots(r):
+            gact = np.concatenate(
+                (driver._gact, np.asarray(driver._gact_add, dtype=np.int64))
+            )
+            return gact[(gact >= r * K) & (gact < (r + 1) * K)].tolist()
+
+        before = {r: row_slots(r) for r in (0, 2)}
+        core = sims[1]._vec
+        core.sync()
+        core.state.rebuild(sims[1])
+        core._refresh_after_rebuild()
+        st = core.state
+        live = (st.flits[: st.SINK0] > 0).nonzero()[0] + st.base
+        assert live.size and row_slots(1) == live.tolist()
+        assert {r: row_slots(r) for r in (0, 2)} == before
+
+    def test_stepping_a_stacked_row_raises(self, net):
+        _topo, routing = net
+        sims = [WormholeSimulator(routing, _cfg(seed=s)) for s in (1, 2)]
+        ReplicaBatchCore(sims)
+        with pytest.raises(RuntimeError, match="multi-row"):
+            sims[0].step()
+        with pytest.raises(RuntimeError, match="multi-row"):
+            sims[1].run()
+
+    def test_stepped_simulator_cannot_be_packed(self, net):
+        _topo, routing = net
+        sim = WormholeSimulator(routing, _cfg())
+        sim.step()
+        with pytest.raises(ValueError, match="fresh"):
+            ReplicaBatchCore([sim])
 
 
 class TestEarlyDrainMasking:
