@@ -208,6 +208,14 @@ class WormholeSimulator:
             w.quiet = False
             self._live.append(w)
 
+    def phys(self, cid: int) -> int:
+        """Physical channel of a chain entry (chains hold channel ids)."""
+        return cid
+
+    def _wait_candidates(self, w: Worm, head: int) -> Tuple[int, ...]:
+        """Resources *w*'s header at *head* may wait on (wait-for analysis)."""
+        return self.routing.next_hops[w.dst][head]
+
     # ------------------------------------------------------------------
     # public driver
     # ------------------------------------------------------------------
@@ -903,6 +911,8 @@ class WormholeSimulator:
         transitively, only on each other — a wormhole deadlock (the
         cyclic-wait witness of the turn-cycle condition).  Returns the
         non-live worms (empty for any verified deadlock-free routing).
+        Candidates come from :meth:`_wait_candidates`, so the same
+        fixpoint runs over virtual channels in the VC engine.
         """
         injected = [w for w in self.active if w.chain]
         live: Dict[int, bool] = {}
@@ -917,14 +927,14 @@ class WormholeSimulator:
                 if live.get(w.pid):
                     continue
                 head = w.chain[0]
-                node = self._sink[head]
+                node = self._sink[self.phys(head)]
                 if node == w.dst:
                     holder = self.consume_occ[node]
                     ok = holder == FREE or live.get(holder, False)
                 else:
                     ok = any(
                         occupant[c] == FREE or live.get(occupant[c], False)
-                        for c in self.routing.next_hops[w.dst][head]
+                        for c in self._wait_candidates(w, head)
                     )
                 if ok:
                     live[w.pid] = True
@@ -950,8 +960,11 @@ class WormholeSimulator:
         cids = (self.topology.channel_id(u, v), self.topology.channel_id(v, u))
         self.dead_channels.update(cids)
         removed: List[Worm] = []
+        phys = self.phys
         for w in list(self.active):
-            k = next((i for i, c in enumerate(w.chain) if c in cids), None)
+            k = next(
+                (i for i, c in enumerate(w.chain) if phys(c) in cids), None
+            )
             if k is None:
                 continue
             if policy == "drain":
@@ -1071,10 +1084,11 @@ class WormholeSimulator:
     def _chain_conforms(self, w: Worm) -> bool:
         """Is *w*'s held chain a valid path under the current tables?"""
         nh = self.routing.next_hops[w.dst]
-        for i in range(len(w.chain) - 1, 0, -1):
-            if w.chain[i - 1] not in nh[w.chain[i]]:
+        chain = [self.phys(c) for c in w.chain]
+        for i in range(len(chain) - 1, 0, -1):
+            if chain[i - 1] not in nh[chain[i]]:
                 return False
-        head = w.chain[0]
+        head = chain[0]
         if self._sink[head] == w.dst:
             return True
         return bool(nh[head])

@@ -71,9 +71,13 @@ class PacketTrace:
 class TraceRecorder:
     """Bounded per-packet event log.
 
-    Attach to an engine with ``sim.tracer = TraceRecorder(...)``; both
-    engines call :meth:`record` if a tracer is set.  Iterating the
-    recorder yields :class:`PacketTrace` objects in insertion order.
+    Attach to an engine with ``sim.tracer = TraceRecorder(...)``.  The
+    ``reference``, ``fast`` and ``batch`` engines record every event.
+    The VC engine records only the lifecycle events of the code it
+    shares with the base engine — ``gen``, ``drop``, ``truncate`` and
+    ``retry`` — and no ``inject``/``hop``/``consume``/``done`` (its
+    move bodies are not traced).  Iterating the recorder yields
+    :class:`PacketTrace` objects in insertion order.
     """
 
     def __init__(self, max_packets: int = 10_000) -> None:

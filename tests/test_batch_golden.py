@@ -12,6 +12,13 @@ Covered: fault-free uniform and hotspot traffic, live fault schedules
 (link kill, link flap and switch failure, with online reconfiguration)
 under the ``drop`` and the ``drain`` crossing-worm policies, and the
 event stream of a :class:`~repro.simulator.trace.TraceRecorder`.
+
+The bit-exact scalar engines get the same kind of anchor
+(:data:`SCALAR_GOLDEN`): ``engine="fast"`` and the virtual-channel
+engine under its ``replicate`` and ``duato`` policies share their clock
+driver, packet generation, fault hooks and wait-for analysis, and the
+reference-vs-fast suites compare two paths through that shared code, so
+only literal digests catch a drift in it.
 """
 
 import hashlib
@@ -26,7 +33,12 @@ from repro.faults import (
     ReconfigurationController,
     RetryPolicy,
 )
-from repro.simulator import SimulationConfig, WormholeSimulator
+from repro.routing.duato import build_duato_routing
+from repro.simulator import (
+    SimulationConfig,
+    VirtualChannelSimulator,
+    WormholeSimulator,
+)
 from repro.simulator.trace import TraceRecorder
 from repro.simulator.traffic import HotspotTraffic
 from repro.topology.generator import random_irregular_topology
@@ -75,7 +87,7 @@ def _trace_digest(tracer):
     return h.hexdigest()[:16]
 
 
-def _faulted_sim(topo, routing, policy, seed=11):
+def _faulted_sim(topo, routing, policy, seed=11, make=WormholeSimulator, **cfg):
     sched = FaultSchedule.random(
         topo,
         permanent_links=1,
@@ -88,7 +100,7 @@ def _faulted_sim(topo, routing, policy, seed=11):
     ctrl = ReconfigurationController(
         lambda sub: build_down_up_routing(sub, rng=7), drain_clocks=48
     )
-    sim = WormholeSimulator(routing, _cfg(seed=seed))
+    sim = make(routing, _cfg(seed=seed, **cfg))
     sim.attach_faults(
         FaultRuntime(sched, ctrl, retry=RetryPolicy(), policy=policy)
     )
@@ -161,3 +173,78 @@ class TestGoldenBatchRuns:
         assert len(sim.tracer) > 0
         got = (stats.statistical_fingerprint(), _trace_digest(sim.tracer))
         assert got == GOLDEN["trace"]
+
+
+def _vc(num_vcs):
+    return lambda routing, cfg: VirtualChannelSimulator(
+        routing, cfg, num_vcs=num_vcs
+    )
+
+
+#: scalar engines: (canonical digest, channel digest[, records digest]);
+#: recorded once, like :data:`GOLDEN`
+SCALAR_GOLDEN = {
+    "fast": (
+        "e49c46d2f9cb4033cee8ac624717c7e69678a7ebccc68730429c873d0098e403",
+        "3e87879f618d0725",
+    ),
+    "vc2": (
+        "c8b4797a09e6e8bde94b729a95c3ff6dbe5459b66578f02ae6aec32eb38d4df0",
+        "3ecab2da6c322eaa",
+    ),
+    "duato3": (
+        "4ae29732e82ca68782671cf0ae95c5cf86d11c6e837281dd5643b838f5158afb",
+        "76c910783257e595",
+    ),
+    "fast-faults-drop": (
+        "951ac88098fd531f124c1c45fc8b4641cbabcfd4e749d17ebcaebbfad7ecda3f",
+        "e3c8036206be28e0",
+        "c0c6b56640121fea",
+    ),
+    "fast-faults-drain": (
+        "10de24b1c96bae5e7e968611e1097c3371e812cb50ed7f4fdff8c104d1c25d4d",
+        "6e00ce40fabe1fa2",
+        "5c415fad4f339563",
+    ),
+    "vc2-faults-drop": (
+        "1dd29a82ef578db2e46144b24ac019ffa32423c90ee9bdbbf6effac68b371253",
+        "29f7caefa9233567",
+        "fd1fbbf079a4964c",
+    ),
+    "vc2-faults-drain": (
+        "336d24da4ef0321b577d15536e9618133b886bab78c2c2988cc1c337af7986f9",
+        "c56499a57a67c8d0",
+        "f6a5360746d8da1c",
+    ),
+}
+
+
+class TestGoldenScalarRuns:
+    @pytest.mark.parametrize("case", ["fast", "vc2", "duato3"])
+    def test_fault_free(self, net, case):
+        topo, routing = net
+        if case == "fast":
+            sim = WormholeSimulator(routing, _cfg(engine="fast"))
+        elif case == "vc2":
+            sim = _vc(2)(routing, _cfg(engine="fast"))
+        else:
+            duato = build_duato_routing(topo, escape="down-up", rng=7)
+            sim = _vc(3)(duato, _cfg(engine="fast"))
+        stats = sim.run()
+        got = (stats.canonical_digest(), _channel_digest(stats))
+        assert got == SCALAR_GOLDEN[case]
+
+    @pytest.mark.parametrize("policy", ["drop", "drain"])
+    @pytest.mark.parametrize("case", ["fast", "vc2"])
+    def test_live_faults(self, net, case, policy):
+        topo, routing = net
+        make = WormholeSimulator if case == "fast" else _vc(2)
+        stats = _faulted_sim(topo, routing, policy, make=make, engine="fast").run()
+        assert len(stats.reconfigurations) >= 2
+        assert stats.fault_drops > 0
+        got = (
+            stats.canonical_digest(),
+            _channel_digest(stats),
+            _records_digest(stats),
+        )
+        assert got == SCALAR_GOLDEN[f"{case}-faults-{policy}"]

@@ -3,7 +3,8 @@
 Three independent layers of cross-checking:
 
 * **Differential golden suite** (``TestEngineDifferential``): both
-  bit-exact step implementations — the seed reference ``_move`` and the
+  bit-exact step implementations — the seed reference
+  ``_move_bodies_and_heads`` and the
   active-set / decision-cache fast path — must replay the same
   simulation *byte for byte*: every RNG draw, every grant, every
   committed flit.  Each scenario runs both engines under a fixed seed

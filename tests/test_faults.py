@@ -256,7 +256,7 @@ class TestRemap:
 # ---------------------------------------------------------------------------
 # engineered single-packet scenarios (deterministic)
 # ---------------------------------------------------------------------------
-def _single_packet_sim(routing, length=16, max_stall=None):
+def _single_packet_sim(routing, length=16, max_stall=None, engine="base"):
     cfg = SimulationConfig(
         packet_length=length,
         injection_rate=0.0,
@@ -266,42 +266,59 @@ def _single_packet_sim(routing, length=16, max_stall=None):
         deadlock_interval=500,
         max_stall_clocks=max_stall,
     )
-    sim = WormholeSimulator(routing, cfg)
+    if engine == "vc":
+        sim = VirtualChannelSimulator(routing, cfg, num_vcs=2)
+    else:
+        sim = WormholeSimulator(routing, cfg)
     sim.stats.active = True
     sim.enable_invariant_checks()
     return sim
 
 
-def _find_crossing(routing, src, dst, length, chain_index):
+def _find_crossing(routing, src, dst, length, chain_index, engine="base"):
     """Clock and link at which a lone (src->dst) worm spans >= 2 channels.
 
     Returns ``(cycle, link)`` such that re-running the same engine with a
     kill of *link* scheduled at *cycle* catches the worm mid-crossing
-    (the engine is deterministic for a fixed seed).
+    (the engine is deterministic for a fixed seed).  VC chains hold
+    virtual channel ids, mapped back to their physical channel here.
     """
-    sim = _single_packet_sim(routing, length)
+    sim = _single_packet_sim(routing, length, engine=engine)
     sim._fault_requeue(src, dst, length, logical_id=0, attempts=0, t_gen=0)
     for _ in range(500):
         sim.step()
         if sim.active:
             w = sim.active[0]
             if len(w.chain) >= 2 and sum(w.chain_flits) > 0:
-                ch = sim.topology.channel(w.chain[chain_index])
+                cid = w.chain[chain_index]
+                if engine == "vc":
+                    cid = sim.phys(cid)
+                ch = sim.topology.channel(cid)
                 return sim.clock, tuple(sorted((ch.start, ch.sink)))
     raise AssertionError("worm never spanned two channels")
 
 
 class TestDropRetryReconfigure:
+    """Single-worm fault mechanics on the base engine.
+
+    :class:`TestDropRetryReconfigureVc` reruns every case on the VC
+    engine, whose fault hooks must behave the same way.
+    """
+
+    engine = "base"
+
     def test_drop_retry_and_deliver(self, ring6):
         routing = build_down_up_routing(ring6, rng=1)
-        cycle, link = _find_crossing(routing, 0, 3, 16, chain_index=0)
+        cycle, link = _find_crossing(
+            routing, 0, 3, 16, chain_index=0, engine=self.engine
+        )
         sched = FaultSchedule(
             ring6, [FaultEvent(cycle=cycle, kind="link_down", link=link)]
         )
         ctrl = ReconfigurationController(
             lambda sub: build_down_up_routing(sub, rng=1), drain_clocks=16
         )
-        sim = _single_packet_sim(routing, 16)
+        sim = _single_packet_sim(routing, 16, engine=self.engine)
         sim.attach_faults(
             FaultRuntime(sched, ctrl, retry=RetryPolicy(backoff_base=8))
         )
@@ -325,7 +342,9 @@ class TestDropRetryReconfigure:
         routing = build_down_up_routing(ring6, rng=1)
         # kill the link under the *tail-most* held channel, so the
         # fragment beyond the break keeps flits to drain
-        cycle, link = _find_crossing(routing, 0, 3, 16, chain_index=-1)
+        cycle, link = _find_crossing(
+            routing, 0, 3, 16, chain_index=-1, engine=self.engine
+        )
         sched = FaultSchedule(
             ring6, [FaultEvent(cycle=cycle, kind="link_down", link=link)]
         )
@@ -334,7 +353,7 @@ class TestDropRetryReconfigure:
         ctrl = ReconfigurationController(
             lambda sub: build_down_up_routing(sub, rng=1), drain_clocks=300
         )
-        sim = _single_packet_sim(routing, 16)
+        sim = _single_packet_sim(routing, 16, engine=self.engine)
         sim.attach_faults(
             FaultRuntime(
                 sched, ctrl, retry=RetryPolicy(backoff_base=8), policy="drain"
@@ -355,7 +374,9 @@ class TestDropRetryReconfigure:
 
     def test_retry_budget_exhaustion_counts_lost(self, line3):
         routing = fixed_path_routing(line3, {(0, 2): [0, 1, 2]})
-        cycle, link = _find_crossing(routing, 0, 2, 8, chain_index=0)
+        cycle, link = _find_crossing(
+            routing, 0, 2, 8, chain_index=0, engine=self.engine
+        )
         assert link == (1, 2)
         # no controller: the network never reconfigures, so every retry
         # re-enters, stalls on the head link, and is never delivered;
@@ -370,7 +391,7 @@ class TestDropRetryReconfigure:
             controller=None,
             retry=RetryPolicy(max_retries=0),
         )
-        sim = _single_packet_sim(routing, 8)
+        sim = _single_packet_sim(routing, 8, engine=self.engine)
         sim.attach_faults(runtime)
         sim._fault_requeue(0, 2, 8, logical_id=0, attempts=0, t_gen=0)
         for _ in range(cycle + 50):
@@ -387,12 +408,16 @@ class TestDropRetryReconfigure:
             [FaultEvent(cycle=1, kind="link_down", link=(1, 2))],
             check=False,
         )
-        sim = _single_packet_sim(routing, 8, max_stall=60)
+        sim = _single_packet_sim(routing, 8, max_stall=60, engine=self.engine)
         sim.attach_faults(FaultRuntime(sched, controller=None, retry=None))
         sim._fault_requeue(0, 2, 8, logical_id=0, attempts=0, t_gen=0)
         with pytest.raises(LivelockSuspected, match="worm dump"):
             for _ in range(1_000):
                 sim.step()
+
+
+class TestDropRetryReconfigureVc(TestDropRetryReconfigure):
+    engine = "vc"
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ from repro.routing.duato import (
 )
 from repro.routing.updown import build_up_down_routing
 from repro.simulator import (
+    DeadlockDetected,
     SimulationConfig,
-    VcDeadlockDetected,
     VirtualChannelSimulator,
     simulate,
     simulate_vc,
 )
 from repro.simulator.packet import Worm
+from repro.simulator.trace import TraceRecorder
 from repro.topology import zoo
 from repro.topology.generator import random_irregular_topology
 from tests.helpers import FixedDestinationTraffic, fixed_path_routing
@@ -143,7 +144,7 @@ class TestDeadlockBehaviour:
             warmup_clocks=0, measure_clocks=50_000, seed=3,
             deadlock_interval=500,
         )
-        with pytest.raises(VcDeadlockDetected):
+        with pytest.raises(DeadlockDetected, match="cyclic channel wait"):
             simulate_vc(routing, cfg, num_vcs=1, traffic=traffic)
 
     def test_duato_escape_prevents_adaptive_deadlock(self, ring6):
@@ -228,6 +229,25 @@ class TestConservation:
         held = {vc for w in sim.active for vc in w.chain}
         occupied = {vc for vc, pid in enumerate(sim.vc_occ) if pid != -1}
         assert held == occupied
+        # the inherited worm registry holds exactly the queued and
+        # in-flight worms: finished ones are retired by the move bodies
+        in_flight = {w.pid for w in sim.active}
+        queued = {w.pid for q in sim.queues for w in q}
+        assert sim.stats.delivered_packets > 0
+        assert set(sim.worms) == in_flight | queued
+
+    def test_tracer_records_shared_lifecycle_events_only(self):
+        topo = random_irregular_topology(12, 4, rng=5)
+        r = build_down_up_routing(topo)
+        cfg = SimulationConfig(
+            packet_length=8, injection_rate=0.2,
+            warmup_clocks=0, measure_clocks=300, seed=2,
+        )
+        sim = VirtualChannelSimulator(r, cfg, num_vcs=2)
+        sim.tracer = TraceRecorder()
+        sim.run()
+        events = {e for t in sim.tracer for _clock, e, _c in t.events}
+        assert events == {"gen"}
 
     def test_deterministic_given_seed(self):
         topo = random_irregular_topology(14, 4, rng=8)
